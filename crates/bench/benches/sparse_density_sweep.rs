@@ -380,7 +380,7 @@ fn main() {
                         ]));
                     }
                 }
-                db.insert_rows(name, rows.into_iter()).unwrap();
+                db.insert_rows(name, rows).unwrap();
             }
             dispatch::set_dispatch_mode(mode);
             let r = db

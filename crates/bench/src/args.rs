@@ -129,7 +129,15 @@ impl Args {
         if args.quick {
             args.n = args.n.min(2_000);
             args.n_dist = args.n_dist.min(300);
-            args.dims = args.dims.iter().map(|&d| d.min(100)).collect();
+            // Clamping can merge dims (1000 → 100): keep each width once,
+            // in first-seen order, so no figure prints a column twice.
+            let mut dims: Vec<usize> = Vec::with_capacity(args.dims.len());
+            for d in args.dims.iter().map(|&d| d.min(100)) {
+                if !dims.contains(&d) {
+                    dims.push(d);
+                }
+            }
+            args.dims = dims;
             args.block = args.block.min(100);
         }
         args
@@ -242,5 +250,9 @@ mod tests {
         let a = parse(&["--n", "1m", "--quick"]);
         assert!(a.n <= 2_000);
         assert!(a.dims.iter().all(|&d| d <= 100));
+        // The default 10,100,1000 clamps to 10,100,100: one 100 column.
+        assert_eq!(a.dims, vec![10, 100]);
+        let b = parse(&["--dims", "1000,50,100,500", "--quick"]);
+        assert_eq!(b.dims, vec![100, 50]);
     }
 }

@@ -4,6 +4,7 @@
 //! file is detected as a typed error — never silently wrong rows.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lardb_buf::{BufError, SpillWriter};
@@ -69,8 +70,12 @@ fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     vec(vec(arb_value(), 0..5).prop_map(Row::new), 0..40)
 }
 
+/// A fresh directory per case, so no two cases — in this process or a
+/// concurrent one — share (and delete) each other's spill files.
 fn test_dir(tag: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("lardb-buf-prop-{}-{tag}", std::process::id()))
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("lardb-buf-prop-{}-{tag}-{case}", std::process::id()))
 }
 
 fn rows_wire_eq(a: &[Row], b: &[Row]) -> bool {

@@ -127,7 +127,7 @@ fn tile_db(cfg: DatabaseConfig, sparse: bool, density: f64) -> Database {
                 ]));
             }
         }
-        db.insert_rows(name, rows.into_iter()).unwrap();
+        db.insert_rows(name, rows).unwrap();
     }
     db.create_table(
         "vt",
@@ -398,7 +398,7 @@ fn matrix_from_entries_sql_end_to_end() {
             Value::Double(1.0),
         ]));
     }
-    db.insert_rows("edges", rows.into_iter()).unwrap();
+    db.insert_rows("edges", rows).unwrap();
     let expected = expected.build_inferred();
     assert_eq!(expected.shape(), (40, 30));
 

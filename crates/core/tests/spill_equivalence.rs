@@ -204,8 +204,7 @@ fn chunked_matmul_spills_and_matches_unbounded() {
         for name in ["ta", "tb"] {
             db.create_table(name, schema.clone(), Partitioning::Hash(0)).unwrap();
             let seed = if name == "ta" { 7 } else { 11 };
-            db.insert_rows(name, tiled_matrix_rows(seed, TILES, TILE).into_iter())
-                .unwrap();
+            db.insert_rows(name, tiled_matrix_rows(seed, TILES, TILE)).unwrap();
         }
         db
     };

@@ -9,8 +9,8 @@
 //! outer products would serialize on one worker.
 
 use lardb_la::dispatch::{self, Kernel};
-use lardb_la::{CooBuilder, LabeledScalar, Matrix, RowMatrixBuilder, Vector, VectorizeBuilder};
-use lardb_planner::AggFunc;
+use lardb_la::{gemm, CooBuilder, LabeledScalar, Matrix, RowMatrixBuilder, Vector, VectorizeBuilder};
+use lardb_planner::{AggExpr, AggFunc, Builtin, Expr};
 use lardb_storage::ops::{self, ArithOp};
 use lardb_storage::Value;
 use std::sync::Arc;
@@ -235,6 +235,141 @@ impl Accumulator {
                 }
             }
         }
+    }
+}
+
+impl Accumulator {
+    /// Whether this is a `SUM` already holding an `m × n` dense matrix —
+    /// the only state in which adding an `m × n` outer product is the
+    /// in-place `acc + x·y` per element.
+    fn sums_matrix(&self, shape: (usize, usize)) -> bool {
+        matches!(self, Accumulator::Sum(Some(Value::Matrix(m))) if m.shape() == shape)
+    }
+
+    /// Adds the outer products of the `k` rows packed in `x` and `y` in
+    /// ascending row order: bit-identical to `k` calls of
+    /// `update(&outer_product(x_l, y_l))` on a [`Self::sums_matrix`] state.
+    fn add_rank_k(&mut self, x: &[f64], y: &[f64], k: usize) -> Result<()> {
+        match self {
+            Accumulator::Sum(Some(Value::Matrix(m))) => {
+                Ok(gemm::rank_k_update(x, y, k, Arc::make_mut(m))?)
+            }
+            _ => Err(ExecError::Runtime(
+                "rank-k update into a SUM that holds no matrix".into(),
+            )),
+        }
+    }
+}
+
+/// Operand values per fused batch before it is folded (512 KiB).
+const OUTER_BATCH_F64S: usize = 1 << 16;
+
+/// A fused `SUM(outer_product(x, y))`: the aggregate evaluates `x` and
+/// `y` instead of their product and folds consecutive same-group lanes
+/// into the group's running matrix as one rank-k update, instead of
+/// materializing an `m × n` matrix per row and adding it.
+///
+/// The result is bit-identical to the unfused `SUM`: the first lane of a
+/// group still goes through `outer_product` and [`Accumulator::update`]
+/// (so the sum starts from that product, signed zeros included), and
+/// every later lane adds `x_r·y_c` to each element in ascending lane
+/// order, which is exactly what `add_in_place` of the product did. NULL
+/// and non-vector operands, and shapes the running sum rejects, take the
+/// unfused path too, after the pending batch is folded, so values and
+/// error text are unchanged. The partial state stays a plain `MATRIX`.
+#[derive(Debug)]
+pub struct OuterSum<'a> {
+    func: &'a Builtin,
+    /// The `x` operand.
+    pub x: &'a Expr,
+    /// The `y` operand.
+    pub y: &'a Expr,
+    /// Group whose accumulator the pending lanes belong to.
+    group: usize,
+    /// `(len x, len y)` of the pending lanes.
+    shape: (usize, usize),
+    /// Pending lanes, packed row-major in `x_rows` and `y_rows`.
+    rows: usize,
+    x_rows: Vec<f64>,
+    y_rows: Vec<f64>,
+}
+
+impl<'a> OuterSum<'a> {
+    /// The operands of `SUM(outer_product(x, y))`, or `None` for any
+    /// other aggregate.
+    pub fn operands(agg: &'a AggExpr) -> Option<(&'a Expr, &'a Expr)> {
+        Self::new(agg).map(|o| (o.x, o.y))
+    }
+
+    /// The fused form of `agg`, when it is `SUM(outer_product(x, y))`.
+    pub fn new(agg: &'a AggExpr) -> Option<Self> {
+        let (AggFunc::Sum, Some(Expr::Call { func: func @ Builtin::OuterProduct, args })) =
+            (agg.func, &agg.arg)
+        else {
+            return None;
+        };
+        let [x, y] = args.as_slice() else {
+            return None;
+        };
+        Some(OuterSum {
+            func,
+            x,
+            y,
+            group: 0,
+            shape: (0, 0),
+            rows: 0,
+            x_rows: Vec::new(),
+            y_rows: Vec::new(),
+        })
+    }
+
+    /// Folds `outer_product(x, y)` into `accs[group][slot]`, with the
+    /// same result and error as `update(&outer_product(x, y))`; the fold
+    /// may stay pending until [`Self::flush`].
+    pub fn fold(
+        &mut self,
+        accs: &mut [Vec<Accumulator>],
+        slot: usize,
+        group: usize,
+        x: Value,
+        y: Value,
+    ) -> Result<()> {
+        if let (Value::Vector(xv), Value::Vector(yv)) = (&x, &y) {
+            let shape = (xv.len(), yv.len());
+            if self.rows > 0 && (self.group != group || self.shape != shape) {
+                self.flush(accs, slot)?;
+            }
+            if self.rows > 0 || accs[group][slot].sums_matrix(shape) {
+                self.group = group;
+                self.shape = shape;
+                self.x_rows.extend_from_slice(xv.as_slice());
+                self.y_rows.extend_from_slice(yv.as_slice());
+                self.rows += 1;
+                if self.x_rows.len() + self.y_rows.len() >= OUTER_BATCH_F64S {
+                    self.flush(accs, slot)?;
+                }
+                return Ok(());
+            }
+        }
+        self.flush(accs, slot)?;
+        accs[group][slot].update(&self.func.evaluate(&[x, y])?)
+    }
+
+    /// Folds the pending lanes into their group's accumulator.
+    pub fn flush(&mut self, accs: &mut [Vec<Accumulator>], slot: usize) -> Result<()> {
+        if self.rows == 0 {
+            return Ok(());
+        }
+        let k = std::mem::take(&mut self.rows);
+        let done = accs[self.group][slot].add_rank_k(&self.x_rows, &self.y_rows, k);
+        self.x_rows.clear();
+        self.y_rows.clear();
+        done
+    }
+
+    /// Heap bytes of the pack buffers.
+    pub fn buffer_bytes(&self) -> usize {
+        (self.x_rows.capacity() + self.y_rows.capacity()) * 8
     }
 }
 

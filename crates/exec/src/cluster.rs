@@ -353,8 +353,8 @@ impl Cluster {
         };
         // Reassemble per partition, morsel order preserved.
         let mut out: Vec<Vec<R>> = (0..num_parts).map(|_| Vec::new()).collect();
-        for (p, r) in homes.into_iter().zip(results) {
-            out[p].push(r?);
+        for (p, r) in homes.into_iter().zip(root_cause(results)?) {
+            out[p].push(r);
         }
         Ok(out)
     }
@@ -384,15 +384,30 @@ impl Cluster {
             flag_abort(&self.cancel, &e);
             return Err(e);
         }
-        slots
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(ExecError::Runtime("pool dropped a task unrun".into()))
-                })
-            })
-            .collect()
+        root_cause(slots.into_iter().map(|r| {
+            r.unwrap_or_else(|| Err(ExecError::Runtime("pool dropped a task unrun".into())))
+        }))
     }
+}
+
+/// Unwraps per-item results in item order, or returns the root-cause
+/// error: the first error that is not `Cancelled`, else the first error.
+/// Once one worker fails, siblings that notice the flipped token report
+/// `Cancelled`, and such a sibling can precede the failing item.
+fn root_cause<R>(results: impl IntoIterator<Item = Result<R>>) -> Result<Vec<R>> {
+    let mut out = Vec::new();
+    let mut err: Option<ExecError> = None;
+    for r in results {
+        match (r, &err) {
+            (Ok(v), _) => out.push(v),
+            (Err(e), None) => err = Some(e),
+            (Err(e), Some(ExecError::Cancelled(_))) if !matches!(e, ExecError::Cancelled(_)) => {
+                err = Some(e)
+            }
+            (Err(_), Some(_)) => {}
+        }
+    }
+    err.map_or(Ok(out), Err)
 }
 
 /// The pre-pool execution strategy: one scoped OS thread per item.
@@ -424,7 +439,7 @@ where
             })
             .collect()
     });
-    results.into_iter().collect()
+    root_cause(results)
 }
 
 /// Splits `rows` into chunks of ≤ `size` rows, moving (never cloning)
@@ -617,5 +632,37 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, ExecError::Runtime(ref m) if m.contains("morsel panic")));
+    }
+
+    #[test]
+    fn root_cause_error_wins_over_earlier_cancelled_sibling() {
+        // Item 0 plays a sibling that saw the token flip and gave up; item
+        // 1 is the failure that flipped it. Every scheduler must report
+        // the failure, whichever order the items ran in.
+        let fail = |i: usize| -> Result<()> {
+            match i {
+                0 => Err(ExecError::Cancelled("a sibling worker failed first".into())),
+                1 => Err(ExecError::Runtime("root cause".into())),
+                _ => Ok(()),
+            }
+        };
+        let root = |e: ExecError| matches!(e, ExecError::Runtime(ref m) if m == "root cause");
+        for mode in [SchedulerMode::Pool, SchedulerMode::Spawn] {
+            let c = Cluster::new(2)
+                .with_scheduler(mode)
+                .with_pool(Arc::new(WorkerPool::new(2)))
+                .with_morsel_rows(1);
+            let err = c.par_map(vec![0, 1, 2], |_, i| fail(i)).unwrap_err();
+            assert!(root(err), "par_map under {mode:?}");
+            c.cancel_token().reset();
+            let err = c
+                .morsel_map(vec![vec![0], vec![1], vec![2]], |_, rows| fail(rows[0]))
+                .unwrap_err();
+            assert!(root(err), "morsel_map under {mode:?}");
+            c.cancel_token().reset();
+        }
+        // A query cancelled outright still reports the cancellation.
+        let all = vec![Err(ExecError::Cancelled("killed".into())), Ok(1)];
+        assert!(matches!(root_cause(all), Err(ExecError::Cancelled(_))));
     }
 }

@@ -23,7 +23,7 @@ use lardb_storage::ops::CompositeKey;
 use lardb_storage::table::hash_partition;
 use lardb_storage::{Catalog, Partitioning, Row, Schema, Value};
 
-use crate::agg::{state_arity, Accumulator};
+use crate::agg::{state_arity, Accumulator, OuterSum};
 use crate::batch::{Col, ColumnBatch};
 use crate::cluster::{flag_abort, panic_message, CancelToken, Cluster};
 use crate::compile::{ExprEngine, Program};
@@ -622,6 +622,7 @@ impl<'a> Executor<'a> {
                 for row in buf.drain(..) {
                     agg.update_row(&row, scratch)?;
                 }
+                agg.flush_outer()?;
                 add_elapsed(&mut agg_ns, t);
                 Ok(())
             };
@@ -736,7 +737,7 @@ impl<'a> Executor<'a> {
             flush(&mut buf, &mut agg, &mut scratch)?;
             let total_ns = t_start.elapsed().as_nanos() as u64;
             Ok(PartOut {
-                rows: agg.finish(),
+                rows: agg.finish()?,
                 joined_rows,
                 join_ns: total_ns.saturating_sub(agg_ns),
                 agg_ns,
@@ -895,10 +896,9 @@ impl<'a> Executor<'a> {
         let agg_meter = StageMeter::default();
         let counters = BatchMeter::default();
         let key_progs: Vec<Program<'_>> = group_by.iter().map(Program::compile).collect();
-        let arg_progs: Vec<Option<Program<'_>>> =
-            aggs.iter().map(|a| a.arg.as_ref().map(Program::compile)).collect();
+        let arg_progs: Vec<ArgProg<'_>> = aggs.iter().map(ArgProg::compile).collect();
         let agg_kernels: u64 = key_progs.iter().map(Program::kernels).sum::<u64>()
-            + arg_progs.iter().flatten().map(Program::kernels).sum::<u64>();
+            + arg_progs.iter().map(ArgProg::kernels).sum::<u64>();
         let hist = lardb_obs::global().histogram("exec.batch.rows_per_batch");
         let trace = self.cluster.trace().cloned();
         let batch_rows = self.batch_rows;
@@ -907,7 +907,6 @@ impl<'a> Executor<'a> {
         let partials = self.cluster.par_map(child, |_, rows| {
             let mut agg = GroupedAgg::new(group_by, aggs, mode);
             let mut scratch: Vec<Value> = Vec::new();
-            let mut args_buf: Vec<Value> = Vec::with_capacity(aggs.len());
             for chunk in rows.chunks(batch_rows) {
                 if cancel.is_cancelled() {
                     return Err(ExecError::Cancelled(
@@ -933,14 +932,7 @@ impl<'a> Executor<'a> {
                         let mut upd = |i: usize| -> Result<()> {
                             let kv: Vec<Value> =
                                 key_cols.iter().map(|c| c.value_at(i)).collect();
-                            args_buf.clear();
-                            for c in &arg_cols {
-                                args_buf.push(match c {
-                                    Some(col) => col.value_at(i),
-                                    None => Value::Integer(1), // COUNT(*)
-                                });
-                            }
-                            agg.update_precomputed(kv, &args_buf)
+                            agg.update_lane(kv, &arg_cols, i)
                         };
                         // Ascending lanes: accumulation order matches the
                         // interpreter's row order exactly.
@@ -956,6 +948,7 @@ impl<'a> Executor<'a> {
                                 }
                             }
                         }
+                        agg.flush_outer()?;
                         agg_meter.add(t, agg_kernels, n as u64);
                     }
                     Err(_) => {
@@ -989,7 +982,7 @@ impl<'a> Executor<'a> {
             }
         } else {
             for agg in partials {
-                out.push(agg.finish());
+                out.push(agg.finish()?);
             }
         }
         if group_by.is_empty()
@@ -1895,6 +1888,59 @@ fn run_vec_chunk(
     })
 }
 
+/// The compiled input of one aggregate on the vectorized path.
+enum ArgProg<'p> {
+    /// `COUNT(*)`.
+    Star,
+    /// The argument expression.
+    One(Program<'p>),
+    /// The `x` and `y` of a fused `SUM(outer_product(x, y))`.
+    Outer(Program<'p>, Program<'p>),
+}
+
+/// One aggregate's input column(s) for a chunk (see [`ArgProg`]).
+enum ArgCol {
+    Star,
+    One(Arc<Col>),
+    Outer(Arc<Col>, Arc<Col>),
+}
+
+impl<'p> ArgProg<'p> {
+    fn compile(agg: &'p AggExpr) -> Self {
+        if let Some((x, y)) = OuterSum::operands(agg) {
+            return ArgProg::Outer(Program::compile(x), Program::compile(y));
+        }
+        agg.arg.as_ref().map_or(ArgProg::Star, |e| ArgProg::One(Program::compile(e)))
+    }
+
+    /// Kernel invocations per chunk; the fused outer-product fold counts
+    /// as the one `outer_product` call it replaces.
+    fn kernels(&self) -> u64 {
+        match self {
+            ArgProg::Star => 0,
+            ArgProg::One(p) => p.kernels(),
+            ArgProg::Outer(x, y) => x.kernels() + y.kernels() + 1,
+        }
+    }
+
+    fn eval(
+        &self,
+        cols: &[Arc<Col>],
+        n: usize,
+        sel: Option<&[u32]>,
+        scratch: &mut Vec<Value>,
+    ) -> Result<ArgCol> {
+        Ok(match self {
+            ArgProg::Star => ArgCol::Star,
+            ArgProg::One(p) => ArgCol::One(p.eval(cols, n, sel, scratch)?),
+            ArgProg::Outer(x, y) => ArgCol::Outer(
+                x.eval(cols, n, sel, scratch)?,
+                y.eval(cols, n, sel, scratch)?,
+            ),
+        })
+    }
+}
+
 /// Chain stages plus group-key / aggregate-argument programs over one
 /// chunk, with *no* side effects — the caller only touches its hash table
 /// once everything evaluated cleanly, so a declined chunk can still fall
@@ -1905,10 +1951,10 @@ fn vec_agg_chunk<'p>(
     stages: &[VecStage<'p>],
     meters: &[StageMeter],
     key_progs: &[Program<'p>],
-    arg_progs: &[Option<Program<'p>>],
+    arg_progs: &[ArgProg<'p>],
     trace: Option<&Arc<lardb_obs::ActiveTrace>>,
     scratch: &mut Vec<Value>,
-) -> Result<Option<(Vec<Arc<Col>>, Vec<Option<Arc<Col>>>, Option<Vec<u32>>, usize)>> {
+) -> Result<Option<(Vec<Arc<Col>>, Vec<ArgCol>, Option<Vec<u32>>, usize)>> {
     let (cols, sel, _projected, n) = run_vec_stages(chunk, stages, meters, trace, scratch)?;
     if n == 0 || sel.as_ref().is_some_and(Vec::is_empty) {
         return Ok(None);
@@ -1920,7 +1966,7 @@ fn vec_agg_chunk<'p>(
         .collect::<Result<Vec<_>>>()?;
     let arg_cols = arg_progs
         .iter()
-        .map(|p| p.as_ref().map(|p| p.eval(&cols, n, s, scratch)).transpose())
+        .map(|p| p.eval(&cols, n, s, scratch))
         .collect::<Result<Vec<_>>>()?;
     Ok(Some((key_cols, arg_cols, sel, n)))
 }
@@ -2320,10 +2366,17 @@ struct GroupedAgg<'a> {
     groups: HashMap<CompositeKey, usize>,
     key_vals: Vec<Vec<Value>>,
     accs: Vec<Vec<Accumulator>>,
+    /// Per aggregate, the fused form of a `SUM(outer_product(x, y))`
+    /// (Partial/Complete modes; Final merges plain states).
+    outer: Vec<Option<OuterSum<'a>>>,
 }
 
 impl<'a> GroupedAgg<'a> {
     fn new(group_by: &'a [Expr], aggs: &'a [AggExpr], mode: AggMode) -> Self {
+        let outer = aggs
+            .iter()
+            .map(|a| if mode == AggMode::Final { None } else { OuterSum::new(a) })
+            .collect();
         GroupedAgg {
             group_by,
             aggs,
@@ -2331,6 +2384,7 @@ impl<'a> GroupedAgg<'a> {
             groups: HashMap::new(),
             key_vals: Vec::new(),
             accs: Vec::new(),
+            outer,
         }
     }
 
@@ -2359,7 +2413,14 @@ impl<'a> GroupedAgg<'a> {
         let idx = self.group_index(kv);
         match self.mode {
             AggMode::Partial | AggMode::Complete => {
-                for (a, acc) in self.aggs.iter().zip(self.accs[idx].iter_mut()) {
+                for (slot, a) in self.aggs.iter().enumerate() {
+                    if let Some(o) = &mut self.outer[slot] {
+                        let x = eval_with(o.x, row, scratch)?;
+                        let y = eval_with(o.y, row, scratch)?;
+                        o.fold(&mut self.accs, slot, idx, x, y)?;
+                        continue;
+                    }
+                    let acc = &mut self.accs[idx][slot];
                     match &a.arg {
                         Some(e) => acc.update(&eval_with(e, row, scratch)?)?,
                         None => acc.update(&Value::Integer(1))?, // COUNT(*)
@@ -2392,14 +2453,37 @@ impl<'a> GroupedAgg<'a> {
         Ok(())
     }
 
-    /// Streamed update with pre-evaluated group keys and aggregate
-    /// arguments (the vectorized path computes both column-at-a-time).
-    /// Must receive exactly the values [`Self::update_row`] would have
-    /// computed, in the same row order; Partial/Complete modes only.
-    fn update_precomputed(&mut self, kv: Vec<Value>, args: &[Value]) -> Result<()> {
+    /// Streamed update of lane `i` with pre-evaluated group keys and
+    /// aggregate argument columns (the vectorized path computes both
+    /// column-at-a-time). Must receive exactly the values
+    /// [`Self::update_row`] would have computed, in the same row order;
+    /// Partial/Complete modes only.
+    fn update_lane(&mut self, kv: Vec<Value>, args: &[ArgCol], i: usize) -> Result<()> {
         let idx = self.group_index(kv);
-        for (acc, v) in self.accs[idx].iter_mut().zip(args) {
-            acc.update(v)?;
+        for (slot, arg) in args.iter().enumerate() {
+            match (arg, &mut self.outer[slot]) {
+                (ArgCol::Outer(x, y), Some(o)) => {
+                    o.fold(&mut self.accs, slot, idx, x.value_at(i), y.value_at(i))?
+                }
+                (ArgCol::One(c), _) => self.accs[idx][slot].update(&c.value_at(i))?,
+                (ArgCol::Star, _) => self.accs[idx][slot].update(&Value::Integer(1))?,
+                (ArgCol::Outer(..), None) => {
+                    return Err(ExecError::Runtime(
+                        "outer-product operands for an unfused aggregate".into(),
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds every pending fused outer-product batch into its
+    /// accumulator. Runs before anything reads the accumulators.
+    fn flush_outer(&mut self) -> Result<()> {
+        for (slot, o) in self.outer.iter_mut().enumerate() {
+            if let Some(o) = o {
+                o.flush(&mut self.accs, slot)?;
+            }
         }
         Ok(())
     }
@@ -2408,7 +2492,9 @@ impl<'a> GroupedAgg<'a> {
     /// result) into this one by merging accumulator states. `other`'s
     /// groups arrive in its first-seen order, so folding partials in
     /// ascending morsel order yields a deterministic group order.
-    fn merge(&mut self, other: GroupedAgg<'a>) -> Result<()> {
+    fn merge(&mut self, mut other: GroupedAgg<'a>) -> Result<()> {
+        self.flush_outer()?;
+        other.flush_outer()?;
         for (kv, accs) in other.key_vals.into_iter().zip(other.accs) {
             let idx = self.group_index(kv);
             for (mine, theirs) in self.accs[idx].iter_mut().zip(accs) {
@@ -2432,14 +2518,17 @@ impl<'a> GroupedAgg<'a> {
             .iter()
             .map(|group| group.iter().map(Accumulator::state_bytes).sum::<usize>())
             .sum();
-        keys + states + self.accs.len() * 64
+        let pending: usize = self.outer.iter().flatten().map(OuterSum::buffer_bytes).sum();
+        keys + states + pending + self.accs.len() * 64
     }
 
     /// Consumes the table into `[group cols][state cols]` rows in
     /// first-seen order — the same layout `AggMode::Final` consumes, and
     /// what the spilling merge writes to its bucket files.
-    fn into_state_rows(self) -> Vec<Row> {
-        self.key_vals
+    fn into_state_rows(mut self) -> Result<Vec<Row>> {
+        self.flush_outer()?;
+        Ok(self
+            .key_vals
             .into_iter()
             .zip(self.accs)
             .map(|(kv, accs)| {
@@ -2449,11 +2538,12 @@ impl<'a> GroupedAgg<'a> {
                 }
                 Row::new(vals)
             })
-            .collect()
+            .collect())
     }
 
     /// Emits groups in first-seen order.
-    fn finish(self) -> Vec<Row> {
+    fn finish(mut self) -> Result<Vec<Row>> {
+        self.flush_outer()?;
         let mode = self.mode;
         let mut out = Vec::with_capacity(self.accs.len());
         for (kv, group_accs) in self.key_vals.into_iter().zip(self.accs) {
@@ -2466,7 +2556,7 @@ impl<'a> GroupedAgg<'a> {
             }
             out.push(Row::new(vals));
         }
-        out
+        Ok(out)
     }
 }
 
@@ -2484,7 +2574,7 @@ fn merge_partials(partials: Vec<GroupedAgg<'_>>) -> Result<Vec<Row>> {
     for p in it {
         first.merge(p)?;
     }
-    Ok(first.finish())
+    first.finish()
 }
 
 /// [`merge_partials`] under a memory budget. While the governor lets the
@@ -2524,7 +2614,7 @@ fn merge_partials_spilling(
             acc.merge(p)?;
         }
         if overflow.is_none() {
-            return Ok((acc.finish(), spill));
+            return Ok((acc.finish()?, spill));
         }
     }
     drop(reservation); // the flush below is about to free that heap state
@@ -2540,7 +2630,7 @@ fn merge_partials_spilling(
     let mut order: HashMap<CompositeKey, usize> = HashMap::new();
     let rest: Vec<GroupedAgg> = overflow.into_iter().chain(parts).collect();
     for g in std::iter::once(acc).chain(rest) {
-        for row in g.into_state_rows() {
+        for row in g.into_state_rows()? {
             let kv = row.values().get(..group_by_len).ok_or_else(|| {
                 ExecError::Runtime(
                     "aggregate state row shorter than its group key".to_string(),

@@ -19,9 +19,11 @@
 //!   `VECTORIZE`, `ROWMATRIX`, `COLMATRIX`) via [`LabeledScalar`], vector
 //!   labels and the [`builder`] module.
 //!
-//! Everything is plain safe Rust over row-major `f64` storage; there are no
-//! external numeric dependencies. Matrices in the engine are shared by
-//! `Arc`, so all routines here take `&self` and return fresh values.
+//! Everything is plain Rust over row-major `f64` storage — the only
+//! `std::arch` code is the AVX GEMM microkernel in [`gemm`], chosen at run
+//! time — and there are no external numeric dependencies. Matrices in the
+//! engine are shared by `Arc`, so all routines here take `&self` and
+//! return fresh values.
 //!
 //! ## Example
 //!

@@ -258,8 +258,9 @@ impl Vector {
         m
     }
 
-    /// Accumulates `self * otherᵀ` into an existing matrix; the hot path of
-    /// the vector-based Gram-matrix aggregation (Figure 1).
+    /// Accumulates `self * otherᵀ` into an existing matrix. The fused
+    /// `SUM(outer_product)` aggregate folds many such rows at once through
+    /// [`crate::gemm::rank_k_update`], which matches this loop bit for bit.
     pub fn outer_product_into(&self, other: &Vector, out: &mut Matrix) -> Result<()> {
         if out.rows() != self.len() || out.cols() != other.len() {
             return Err(LaError::DimMismatch {
