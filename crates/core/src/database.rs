@@ -10,7 +10,7 @@ use lardb_exec::{
     TransportMode,
 };
 use lardb_pool::WorkerPool;
-use lardb_obs::{CollectingSink, OperatorProfile, QueryProfile, SpanGuard, Stage};
+use lardb_obs::{ActiveTrace, OperatorProfile, QueryProfile, Stage};
 use lardb_planner::physical::PhysicalPlanner;
 use lardb_planner::{LogicalPlan, Optimizer, OptimizerConfig, PlanEstimate};
 use lardb_sql::ast::{SelectStatement, Statement, TableRef};
@@ -332,17 +332,15 @@ impl Database {
 
     /// The cluster every query of this database executes on: the
     /// configured worker count, scheduler, morsel size, and (if
-    /// dedicated) worker pool. With `cancel`, the query runs under an
-    /// externally-owned token (KILL / disconnect wiring).
-    fn cluster(&self, cancel: Option<&CancelToken>) -> Cluster {
+    /// dedicated) worker pool, under the statement's cancel token
+    /// (KILL / disconnect wiring).
+    fn cluster(&self, cancel: &CancelToken) -> Cluster {
         let mut cluster = Cluster::new(self.config.workers)
             .with_scheduler(self.config.scheduler)
-            .with_morsel_rows(self.config.morsel_rows);
+            .with_morsel_rows(self.config.morsel_rows)
+            .with_cancel_token(cancel.clone());
         if let Some(pool) = &self.pool {
             cluster = cluster.with_pool(Arc::clone(pool));
-        }
-        if let Some(token) = cancel {
-            cluster = cluster.with_cancel_token(token.clone());
         }
         // Attach the statement's flight-recorder trace (if sampled) so
         // morsel workers and exchange channels attribute to the query.
@@ -440,15 +438,14 @@ impl Database {
         self.config.optimizer = cfg;
     }
 
-    /// Fingerprint of the configuration knobs an optimized plan depends
-    /// on — part of every plan-cache key, so clones with diverged
-    /// optimizer settings never share entries.
+    /// Fingerprint of the configuration an optimized plan depends on —
+    /// the whole [`OptimizerConfig`], so no optimizer knob can be left out
+    /// of the plan-cache key and clones with diverged optimizer settings
+    /// never share entries.
     fn config_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.config.optimizer.size_inference.hash(&mut h);
-        self.config.optimizer.early_projection.hash(&mut h);
-        self.config.optimizer.max_dp_inputs.hash(&mut h);
+        self.config.optimizer.hash(&mut h);
         h.finish()
     }
 
@@ -494,81 +491,8 @@ impl Database {
     /// assert!(db.query("SELECT matrix_vector_multiply(mat, vec) AS x FROM bad").is_err());
     /// ```
     pub fn execute(&self, sql: &str) -> Result<Response> {
-        self.execute_cancellable(sql, None)
-    }
-
-    /// Executes one SQL statement under an externally-owned cancel token:
-    /// flipping `cancel` (from any thread) aborts the statement at the
-    /// next morsel/row-batch boundary with `ExecError::Cancelled`. The
-    /// query server wires `KILL <query-id>` and client-disconnect
-    /// detection to this. A token already cancelled when execution starts
-    /// aborts immediately.
-    pub fn execute_with_cancel(&self, sql: &str, cancel: &CancelToken) -> Result<Response> {
-        self.execute_cancellable(sql, Some(cancel))
-    }
-
-    /// Executes one SQL statement under an externally-minted flight
-    /// recorder trace. The query server mints the trace *before*
-    /// admission (so queue wait is on the trace) and hands it in here;
-    /// the statement runs with the trace as the thread-local current
-    /// trace, and the trace is finished (frozen into the recorder ring)
-    /// when the statement completes.
-    pub fn execute_with_trace(
-        &self,
-        sql: &str,
-        cancel: &CancelToken,
-        trace: &Arc<lardb_obs::ActiveTrace>,
-    ) -> Result<Response> {
-        self.execute_inner(sql, Some(cancel), Some(Arc::clone(trace)), None)
-    }
-
-    fn execute_cancellable(&self, sql: &str, cancel: Option<&CancelToken>) -> Result<Response> {
-        // Embedded entry point: mint a (sampled) trace here; the server
-        // path pre-mints via `execute_with_trace` to capture queue wait.
         let trace = lardb_obs::recorder().start(sql, "embedded");
-        self.execute_inner(sql, cancel, trace, None)
-    }
-
-    /// Parses and validates a statement once, precomputing its plan-cache
-    /// shape. Executing the returned handle skips re-parsing; cacheable
-    /// SELECT shapes are bound and optimized right here (best-effort), so
-    /// the first [`Database::execute_prepared`] is already a cache hit.
-    /// Bind errors still surface at execute time, preserving the
-    /// prepare-then-create-table workflow.
-    pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
-        let statement = parse_statement(sql)?;
-        let norm = if self.plan_cache.enabled() { normalize(sql) } else { None };
-        let prepared = PreparedStatement { sql: sql.into(), statement, norm };
-        self.warm_plan_cache(&prepared);
-        Ok(prepared)
-    }
-
-    /// Best-effort bind + optimize of a cacheable prepared SELECT into
-    /// the plan cache. Failures are swallowed: they will surface (typed)
-    /// when the statement is executed. The catalog version is captured
-    /// *before* binding, so a concurrent DDL drops the insert instead of
-    /// caching a plan bound against the pre-DDL catalog.
-    fn warm_plan_cache(&self, prepared: &PreparedStatement) {
-        let Some(norm) = &prepared.norm else { return };
-        if norm.kind != StatementKind::Select {
-            return;
-        }
-        let Statement::Select(sel) = &prepared.statement else { return };
-        if references_virtual(sel) {
-            return;
-        }
-        let version = self.plan_cache.version();
-        let Ok(plan) = Binder::new(&self.catalog).bind_select(sel) else { return };
-        let optimizer =
-            Optimizer::new(self.catalog.as_ref(), self.config.optimizer.clone());
-        let Ok(optimized) = optimizer.optimize(plan) else { return };
-        self.plan_cache.insert(
-            norm,
-            self.config_fingerprint(),
-            version,
-            &crate::matview::scan_tables(&optimized),
-            Arc::new(optimized),
-        );
+        self.execute_with(Stmt::Sql(sql), &CancelToken::new(), trace.as_ref())
     }
 
     /// Executes a prepared statement. The stored parse tree is reused and
@@ -576,68 +500,62 @@ impl Database {
     /// repeat executions skip parse, bind *and* optimize.
     pub fn execute_prepared(&self, prepared: &PreparedStatement) -> Result<Response> {
         let trace = lardb_obs::recorder().start(&prepared.sql, "embedded");
-        self.execute_inner(&prepared.sql, None, trace, Some(prepared))
+        self.execute_with(Stmt::Prepared(prepared), &CancelToken::new(), trace.as_ref())
     }
 
-    /// [`Database::execute_prepared`] under an externally-owned cancel
-    /// token (sampling decides whether a trace is minted, as in
-    /// [`Database::execute_with_cancel`]).
-    pub fn execute_prepared_with_cancel(
+    /// Executes SQL text or a prepared statement under an externally-owned
+    /// cancel token and the caller's flight-recorder trace decision.
+    ///
+    /// Flipping `cancel` (from any thread) aborts the statement at the
+    /// next morsel/row-batch boundary with `ExecError::Cancelled`; a token
+    /// already cancelled when execution starts aborts immediately. With
+    /// `Some(trace)` the statement runs under that trace, which is
+    /// finished when the statement completes; with `None` it runs
+    /// untraced. This never mints a trace: the query server mints (or,
+    /// when sampling skips the query, does not mint) one before admission,
+    /// under the session's tenant, so queue wait is on the trace.
+    pub fn execute_with(
         &self,
-        prepared: &PreparedStatement,
+        stmt: Stmt<'_>,
         cancel: &CancelToken,
-    ) -> Result<Response> {
-        let trace = lardb_obs::recorder().start(&prepared.sql, "embedded");
-        self.execute_inner(&prepared.sql, Some(cancel), trace, Some(prepared))
-    }
-
-    /// [`Database::execute_prepared`] under an externally-owned cancel
-    /// token and pre-minted flight-recorder trace — the query server's
-    /// `Execute` message lands here.
-    pub fn execute_prepared_with_trace(
-        &self,
-        prepared: &PreparedStatement,
-        cancel: &CancelToken,
-        trace: &Arc<lardb_obs::ActiveTrace>,
-    ) -> Result<Response> {
-        self.execute_inner(
-            &prepared.sql,
-            Some(cancel),
-            Some(Arc::clone(trace)),
-            Some(prepared),
-        )
-    }
-
-    fn execute_inner(
-        &self,
-        sql: &str,
-        cancel: Option<&CancelToken>,
-        trace: Option<Arc<lardb_obs::ActiveTrace>>,
-        prepared: Option<&PreparedStatement>,
+        trace: Option<&Arc<ActiveTrace>>,
     ) -> Result<Response> {
         let t0 = Instant::now();
-        if let Some(t) = &trace {
-            t.set_running();
-        }
-        let cur = trace
-            .as_ref()
-            .map(|t| lardb_obs::trace::push_current(Some(Arc::clone(t))));
-        let sink = CollectingSink::new();
-        let mut profile = QueryProfile::new(sql);
-        let result = self.execute_traced(sql, cancel, &sink, &mut profile, prepared);
-        profile.add_spans(&sink.take());
-        if let (Some(t), Ok(Response::Rows(q))) = (&trace, &result) {
-            t.add_rows(q.rows.len() as u64);
-        }
-        drop(cur);
-        let trace_ids = trace.as_ref().map(|t| (t.id(), t.query_id()));
+        let mut profile = QueryProfile::new(stmt.sql());
+        let result = {
+            let _cur = trace.map(|t| {
+                t.set_running();
+                lardb_obs::trace::push_current(Some(Arc::clone(t)))
+            });
+            self.run_statement(stmt, cancel, &mut profile)
+        };
         if let Some(t) = trace {
+            if let Ok(Response::Rows(q)) = &result {
+                t.add_rows(q.rows.len() as u64);
+            }
             let err = result.as_ref().err().map(|e| e.to_string());
-            let done = lardb_obs::recorder().finish(&t, err.as_deref());
+            let done = lardb_obs::recorder().finish(t, err.as_deref());
             self.write_trace_file(&done);
         }
-        self.finish_statement(sql, t0, result.is_err(), profile, trace_ids);
+        let trace_ids = trace.map(|t| (t.id(), t.query_id()));
+        self.finish_statement(t0, result.is_err(), profile, trace_ids);
         result
+    }
+
+    /// Parses and validates a statement once, precomputing its plan-cache
+    /// shape. Executing the returned handle skips re-parsing; cacheable
+    /// SELECT shapes are planned into the cache right here (best-effort),
+    /// so the first [`Database::execute_prepared`] is already a cache hit.
+    /// Planning errors are swallowed and surface at execute time,
+    /// preserving the prepare-then-create-table workflow.
+    pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
+        let statement = parse_statement(sql)?;
+        let norm = if self.plan_cache.enabled() { normalize(sql) } else { None };
+        if let (Some(norm), Statement::Select(sel)) = (&norm, &statement) {
+            let slot = CacheSlot { norm, version: self.plan_cache.version() };
+            let _ = self.plan(sel, Some(slot), &mut QueryProfile::default());
+        }
+        Ok(PreparedStatement { sql: sql.into(), statement, norm })
     }
 
     /// Best-effort export of one completed trace as Chrome trace-event
@@ -659,7 +577,6 @@ impl Database {
     /// correlates directly with flight-recorder output.
     fn finish_statement(
         &self,
-        sql: &str,
         t0: Instant,
         errored: bool,
         profile: QueryProfile,
@@ -680,6 +597,7 @@ impl Database {
                     Some((tid, qid)) => format!(" trace {tid} query {qid}"),
                     None => String::new(),
                 };
+                let sql = &profile.query;
                 match &self.session_label {
                     Some(label) => eprintln!(
                         "[lardb] slow query ({ms:.1} ms ≥ {threshold:.1} ms) \
@@ -694,49 +612,44 @@ impl Database {
         *self.last_profile.lock().unwrap_or_else(|e| e.into_inner()) = Some(profile);
     }
 
-    /// Statement dispatch with lifecycle spans recorded into `sink` and
-    /// per-operator estimate-vs-actual records into `profile`. With
-    /// `prepared`, the stored parse tree and shape key are reused instead
-    /// of re-deriving them from `sql`.
-    fn execute_traced(
+    /// Statement dispatch. Every statement that runs a query plans it
+    /// through [`Database::plan`] and executes it through
+    /// [`Database::run`]; the arms differ only in their statement-specific
+    /// tail. Stage timings and per-operator records go into `profile`.
+    fn run_statement(
         &self,
-        sql: &str,
-        cancel: Option<&CancelToken>,
-        sink: &CollectingSink,
+        stmt: Stmt<'_>,
+        cancel: &CancelToken,
         profile: &mut QueryProfile,
-        prepared: Option<&PreparedStatement>,
     ) -> Result<Response> {
-        let fingerprint = self.config_fingerprint();
-        // Captured once, before any bind: lookups read under it and
-        // inserts are keyed (and validity-checked) against it, so a plan
-        // is only ever cached under the catalog version it was bound at.
-        let cache_version = self.plan_cache.version();
-        let norm = match prepared {
-            Some(p) => p.norm.clone(),
-            None if self.plan_cache.enabled() => normalize(sql),
-            None => None,
+        let normalized;
+        let norm = match stmt {
+            Stmt::Prepared(p) => p.norm.as_ref(),
+            Stmt::Sql(sql) => {
+                normalized = if self.plan_cache.enabled() { normalize(sql) } else { None };
+                normalized.as_ref()
+            }
         };
+        // The catalog version is captured once, before any bind: lookups
+        // read under it and inserts are keyed (and validity-checked)
+        // against it, so a plan is only ever cached under the catalog
+        // version it was bound at.
+        let slot = norm.map(|norm| CacheSlot { norm, version: self.plan_cache.version() });
         // Fast path: a bare SELECT whose shape, literals, catalog version
         // and config fingerprint are all cached skips parse, bind and
         // optimize entirely — their lifecycle stages stay at the
         // profile's pre-seeded zero, which is how the repeat-query bench
         // verifies the elision. Cached shapes never reference virtual
         // tables (gated at insert), so skipping their refresh is sound.
-        if let Some(n) = &norm {
-            if n.kind == StatementKind::Select {
-                if let Some(cached) = self.plan_cache.lookup(n, fingerprint, cache_version) {
-                    let (result, _) =
-                        self.run_optimized(&cached, true, cancel, sink, profile)?;
-                    return Ok(Response::Rows(result));
-                }
+        if let Some(s) = slot.filter(|s| s.norm.kind == StatementKind::Select) {
+            if let Some(plan) = self.plan_cache.lookup(s.norm, self.config_fingerprint(), s.version)
+            {
+                return Ok(Response::Rows(self.run(&plan, true, cancel, profile)?));
             }
         }
-        let statement = match prepared {
-            Some(p) => p.statement.clone(),
-            None => {
-                let _g = SpanGuard::enter(sink, Stage::Parse, "");
-                parse_statement(sql)?
-            }
+        let statement = match stmt {
+            Stmt::Prepared(p) => p.statement.clone(),
+            Stmt::Sql(sql) => profile.time(Stage::Parse, || parse_statement(sql))?,
         };
         match statement {
             Statement::CreateTable { name, columns } => {
@@ -750,29 +663,16 @@ impl Database {
                 Ok(Response::Done)
             }
             Statement::CreateTableAs { name, query } => {
-                let plan = {
-                    let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                    Binder::new(&self.catalog).bind_select(&query)?
-                };
-                let (result, _) =
-                    self.run_traced(plan, /*gather=*/ false, cancel, sink, profile)?;
-                let mut table = Table::new(
-                    &name,
-                    result.schema.clone(),
-                    self.config.workers,
-                    Partitioning::RoundRobin,
-                );
-                let n = result.rows.len();
-                table.insert_all(result.rows)?;
-                self.catalog.create_table(table)?;
+                let (plan, _) = self.plan(&query, None, profile)?;
+                let result = self.run(&plan, false, cancel, profile)?;
+                let n = self.create_table_from(&name, result.schema, result.rows)?;
                 self.plan_cache.bump(InvalidationReason::Ddl);
                 Ok(Response::Inserted(n))
             }
             Statement::CreateView { name, columns, query, sql } => {
-                // Validate now so errors surface at CREATE VIEW time.
-                Binder::new(&self.catalog).bind_select(&query)?;
+                // Plan now so errors surface at CREATE VIEW time.
+                let (plan, _) = self.plan(&query, None, profile)?;
                 if let Some(cols) = &columns {
-                    let plan = Binder::new(&self.catalog).bind_select(&query)?;
                     if plan.schema().arity() != cols.len() {
                         return Err(EngineError::Usage(format!(
                             "view column list has {} names but query yields {}",
@@ -786,11 +686,8 @@ impl Database {
                 Ok(Response::Done)
             }
             Statement::CreateMaterializedView { name, query, sql } => {
-                let plan = {
-                    let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                    Binder::new(&self.catalog).bind_select(&query)?
-                };
-                // Lineage from the *bound* plan: views are expanded, so
+                let (plan, _) = self.plan(&query, None, profile)?;
+                // Lineage from the planned query: views are expanded, so
                 // these are the base tables whose INSERTs must maintain
                 // the view. Lineage through another materialized view is
                 // rejected outright: maintenance writes to backing tables
@@ -805,17 +702,8 @@ impl Database {
                          materialized views"
                     )));
                 }
-                let (result, _) =
-                    self.run_traced(plan, /*gather=*/ false, cancel, sink, profile)?;
-                let mut table = Table::new(
-                    &name,
-                    result.schema.clone(),
-                    self.config.workers,
-                    Partitioning::RoundRobin,
-                );
-                let n = result.rows.len();
-                table.insert_all(result.rows)?;
-                self.catalog.create_table(table)?;
+                let result = self.run(&plan, false, cancel, profile)?;
+                let n = self.create_table_from(&name, result.schema, result.rows)?;
                 if let Err(e) =
                     self.catalog.create_matview(&name, MatViewDef { sql, base_tables })
                 {
@@ -889,57 +777,15 @@ impl Database {
                     }
                     materialized.push(Row::new(vals));
                 }
-                let n = materialized.len();
-                let handle = self.catalog.table(&table)?;
-                // Clone the delta only when some materialized view's
-                // lineage includes this table.
-                if self.catalog.matviews_on(&table).is_empty() {
-                    handle.write().insert_all(materialized)?;
-                } else {
-                    let delta = materialized.clone();
-                    handle.write().insert_all(materialized)?;
-                    self.maintain_matviews_on(&table, &delta)?;
-                }
-                // Per-table: only cached plans reading this table (or a
-                // maintained view, bumped during maintenance) go stale.
-                self.plan_cache.bump_stats(&table);
-                Ok(Response::Inserted(n))
+                Ok(Response::Inserted(self.insert_rows(&table, materialized)?))
             }
             Statement::Select(sel) => {
                 self.refresh_virtual_tables(&sel)?;
-                let cacheable = norm
-                    .as_ref()
-                    .is_some_and(|n| n.kind == StatementKind::Select)
-                    && !references_virtual(&sel);
-                let plan = {
-                    let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                    Binder::new(&self.catalog).bind_select(&sel)?
-                };
-                if cacheable {
-                    let optimized = {
-                        let _g = SpanGuard::enter(sink, Stage::Optimize, "");
-                        let optimizer = Optimizer::new(
-                            self.catalog.as_ref(),
-                            self.config.optimizer.clone(),
-                        );
-                        Arc::new(optimizer.optimize(plan)?)
-                    };
-                    self.plan_cache.insert(
-                        norm.as_ref().expect("cacheable implies normalized"),
-                        fingerprint,
-                        cache_version,
-                        &crate::matview::scan_tables(&optimized),
-                        Arc::clone(&optimized),
-                    );
-                    let (result, _) =
-                        self.run_optimized(&optimized, true, cancel, sink, profile)?;
-                    return Ok(Response::Rows(result));
-                }
-                if self.plan_cache.enabled() {
+                let (plan, cache) = self.plan(&sel, slot, profile)?;
+                if cache == "off" && self.plan_cache.enabled() {
                     self.plan_cache.note_uncacheable();
                 }
-                let (result, _) = self.run_traced(plan, true, cancel, sink, profile)?;
-                Ok(Response::Rows(result))
+                Ok(Response::Rows(self.run(&plan, true, cancel, profile)?))
             }
             Statement::Explain { query, analyze, trace } => {
                 self.refresh_virtual_tables(&query)?;
@@ -947,29 +793,22 @@ impl Database {
                     // EXPLAIN TRACE: run the query under a *forced* trace
                     // (sampling does not apply) and return its Chrome
                     // trace-event JSON instead of the plan text. The
-                    // statement was already parsed, so a measured re-parse
-                    // stands in for the parse span; bind onward runs live
-                    // under the forced trace.
-                    let forced = lardb_obs::recorder().start_forced(sql, "explain");
+                    // statement was parsed before the trace existed, so
+                    // its measured parse lands at the trace's origin; plan
+                    // onward runs live under the forced trace, uncached.
+                    let parse_ms = profile.stage_ms(Stage::Parse.name()).unwrap_or(0.0);
+                    let minted = Instant::now();
+                    let forced = lardb_obs::recorder().start_forced(stmt.sql(), "explain");
                     forced.set_running();
+                    let parse = std::time::Duration::from_secs_f64(parse_ms / 1e3);
+                    forced.record("parse", "query", minted, parse, Vec::new());
                     let run = {
                         let _cur = lardb_obs::trace::push_current(Some(Arc::clone(&forced)));
-                        let t_parse = Instant::now();
-                        let _ = parse_statement(sql);
-                        forced.record("parse", "query", t_parse, t_parse.elapsed(), Vec::new());
-                        let bound = {
-                            let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                            Binder::new(&self.catalog).bind_select(&query)
-                        };
-                        match bound {
-                            Ok(plan) => {
-                                self.run_traced(plan, true, cancel, sink, profile)
-                            }
-                            Err(e) => Err(e.into()),
-                        }
+                        self.plan(&query, None, profile)
+                            .and_then(|(plan, _)| self.run(&plan, true, cancel, profile))
                     };
                     let err = run.as_ref().err().map(|e| e.to_string());
-                    if let Ok((result, _)) = &run {
+                    if let Ok(result) = &run {
                         forced.add_rows(result.rows.len() as u64);
                     }
                     let done = lardb_obs::recorder().finish(&forced, err.as_deref());
@@ -977,60 +816,18 @@ impl Database {
                     run?;
                     return Ok(Response::Explained(done.to_chrome_json()));
                 }
-                let plan = {
-                    let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                    Binder::new(&self.catalog).bind_select(&query)?
-                };
                 // EXPLAIN shares the wrapped SELECT's cache shape (the
                 // prefix is stripped during normalization): a hit reuses
                 // the cached optimized plan and says so; a miss seeds the
                 // cache for the bare statement.
-                let cacheable = norm.is_some() && !references_virtual(&query);
-                let (optimized, cache_note) = if cacheable {
-                    let n = norm.as_ref().expect("cacheable implies normalized");
-                    match self.plan_cache.lookup(n, fingerprint, cache_version) {
-                        Some(cached) => (cached, "hit"),
-                        None => {
-                            let optimized = {
-                                let _g = SpanGuard::enter(sink, Stage::Optimize, "");
-                                let optimizer = Optimizer::new(
-                                    self.catalog.as_ref(),
-                                    self.config.optimizer.clone(),
-                                );
-                                Arc::new(optimizer.optimize(plan)?)
-                            };
-                            self.plan_cache.insert(
-                                n,
-                                fingerprint,
-                                cache_version,
-                                &crate::matview::scan_tables(&optimized),
-                                Arc::clone(&optimized),
-                            );
-                            (optimized, "miss")
-                        }
-                    }
-                } else {
-                    let optimized = {
-                        let _g = SpanGuard::enter(sink, Stage::Optimize, "");
-                        let optimizer = Optimizer::new(
-                            self.catalog.as_ref(),
-                            self.config.optimizer.clone(),
-                        );
-                        Arc::new(optimizer.optimize(plan)?)
-                    };
-                    (optimized, "off")
-                };
-                let mut text = self.explain_optimized(&optimized)?;
+                let (plan, cache) = self.plan(&query, slot, profile)?;
+                let mut text = self.explain_optimized(&plan)?;
                 if !text.ends_with('\n') {
                     text.push('\n');
                 }
-                text.push_str(&format!("plan cache: {cache_note}\n"));
+                text.push_str(&format!("plan cache: {cache}\n"));
                 if analyze {
-                    let (result, operators) =
-                        self.run_optimized(&optimized, true, cancel, sink, profile)?;
-                    if !text.ends_with('\n') {
-                        text.push('\n');
-                    }
+                    let result = self.run(&plan, true, cancel, profile)?;
                     text.push_str(&format!(
                         "== Execution Statistics ==\n{}\
                          total: {} rows shuffled, {} bytes shuffled, \
@@ -1069,7 +866,7 @@ impl Database {
                             d.densified,
                         ));
                     }
-                    text.push_str(&render_estimate_table(&operators));
+                    text.push_str(&render_estimate_table(&profile.operators));
                 }
                 Ok(Response::Explained(text))
             }
@@ -1100,23 +897,14 @@ impl Database {
     pub fn explain(&self, sql: &str) -> Result<String> {
         match parse_statement(sql)? {
             Statement::Select(sel) | Statement::Explain { query: sel, .. } => {
-                let plan = Binder::new(&self.catalog).bind_select(&sel)?;
-                self.explain_logical(plan)
+                let (plan, _) = self.plan(&sel, None, &mut QueryProfile::default())?;
+                self.explain_optimized(&plan)
             }
             _ => Err(EngineError::Usage("EXPLAIN expects a SELECT".into())),
         }
     }
 
-    fn explain_logical(&self, plan: LogicalPlan) -> Result<String> {
-        let optimizer =
-            Optimizer::new(self.catalog.as_ref(), self.config.optimizer.clone());
-        let optimized = optimizer.optimize(plan)?;
-        self.explain_optimized(&optimized)
-    }
-
-    /// Renders the EXPLAIN text for an already-optimized plan (the
-    /// statement path arrives here with a cached or freshly-optimized
-    /// plan in hand).
+    /// Renders the EXPLAIN text for an already-optimized plan.
     fn explain_optimized(&self, optimized: &LogicalPlan) -> Result<String> {
         let mut pp = PhysicalPlanner::new(&self.catalog, self.catalog.as_ref());
         let physical = pp.plan_gathered(optimized)?;
@@ -1127,78 +915,76 @@ impl Database {
         ))
     }
 
-    /// Runs a bound logical plan end-to-end (optimize → physical plan →
-    /// parallel execute). Exposed for tests and the benchmark harness.
-    /// The run's [`QueryProfile`] (with zeroed parse/bind stages, since
-    /// the plan arrives pre-bound) is published to [`Database::last_profile`].
-    pub fn run_logical(&self, plan: LogicalPlan, gather: bool) -> Result<QueryResult> {
-        let sink = CollectingSink::new();
-        let mut profile = QueryProfile::new("<logical plan>");
-        let result = self.run_traced(plan, gather, None, &sink, &mut profile);
-        profile.add_spans(&sink.take());
-        *self.last_profile.lock().unwrap_or_else(|e| e.into_inner()) = Some(profile);
-        result.map(|(q, _)| q)
+    /// The one planning path every statement takes: bind → plan-cache
+    /// lookup → optimize → plan-cache insert, with the bind and optimize
+    /// stages timed into `profile`. `slot` is the statement's place in the
+    /// plan cache; `None` (and any query over a virtual table) plans
+    /// uncached. A bare SELECT probes the cache before it is even parsed
+    /// (the fast path in [`Database::run_statement`]), so here only an
+    /// EXPLAIN looks up, after binding; both insert what they optimize.
+    /// Also returns the cache outcome EXPLAIN reports: `hit`, `miss` or
+    /// `off`.
+    pub(crate) fn plan(
+        &self,
+        sel: &SelectStatement,
+        slot: Option<CacheSlot<'_>>,
+        profile: &mut QueryProfile,
+    ) -> Result<(Arc<LogicalPlan>, &'static str)> {
+        // Virtual tables re-snapshot live state on every reference, so
+        // plans over them are never cached.
+        let slot = slot.filter(|_| !references_virtual(sel));
+        let bound = profile.time(Stage::Bind, || Binder::new(&self.catalog).bind_select(sel))?;
+        if let Some(s) = slot.filter(|s| s.norm.kind == StatementKind::Explain) {
+            if let Some(plan) = self.plan_cache.lookup(s.norm, self.config_fingerprint(), s.version)
+            {
+                return Ok((plan, "hit"));
+            }
+        }
+        let optimizer = Optimizer::new(self.catalog.as_ref(), self.config.optimizer.clone());
+        let plan = Arc::new(profile.time(Stage::Optimize, || optimizer.optimize(bound))?);
+        let Some(s) = slot else { return Ok((plan, "off")) };
+        self.plan_cache.insert(
+            s.norm,
+            self.config_fingerprint(),
+            s.version,
+            &crate::matview::scan_tables(&plan),
+            Arc::clone(&plan),
+        );
+        Ok((plan, "miss"))
     }
 
-    /// The traced query back half: optimize → physical plan → execute,
-    /// with one span per stage and per-operator estimate-vs-actual
-    /// records appended to `profile`. Also returns the operator records
-    /// so EXPLAIN ANALYZE can render them.
+    /// The one execution back half: physical planning and execution of an
+    /// optimized plan, timed as the plan and execute stages of `profile`,
+    /// which also receives one estimate-vs-actual record per operator.
+    /// Plan-cache hits enter here directly, which is exactly what makes
+    /// the parse/bind/optimize stages disappear from their profiles.
     ///
     /// Actual bytes are the metered shuffle bytes for exchanges; other
     /// operators don't move data across workers, so their "actual" bytes
     /// are derived as measured rows × the cost model's row width.
-    pub(crate) fn run_traced(
+    pub(crate) fn run(
         &self,
-        plan: LogicalPlan,
+        plan: &LogicalPlan,
         gather: bool,
-        cancel: Option<&CancelToken>,
-        sink: &CollectingSink,
+        cancel: &CancelToken,
         profile: &mut QueryProfile,
-    ) -> Result<(QueryResult, Vec<OperatorProfile>)> {
-        let optimized = {
-            let _g = SpanGuard::enter(sink, Stage::Optimize, "");
-            let optimizer =
-                Optimizer::new(self.catalog.as_ref(), self.config.optimizer.clone());
-            optimizer.optimize(plan)?
-        };
-        self.run_optimized(&optimized, gather, cancel, sink, profile)
-    }
-
-    /// The back half of [`Database::run_traced`] from an already-optimized
-    /// plan: physical planning and execution under their spans. Plan-cache
-    /// hits enter here directly, which is exactly what makes the
-    /// parse/bind/optimize stages disappear from their profiles.
-    fn run_optimized(
-        &self,
-        optimized: &LogicalPlan,
-        gather: bool,
-        cancel: Option<&CancelToken>,
-        sink: &CollectingSink,
-        profile: &mut QueryProfile,
-    ) -> Result<(QueryResult, Vec<OperatorProfile>)> {
-        let (physical, estimates) = {
-            let _g = SpanGuard::enter(sink, Stage::Plan, "");
+    ) -> Result<QueryResult> {
+        let (physical, estimates) = profile.time(Stage::Plan, || -> Result<_> {
             let mut pp = PhysicalPlanner::new(&self.catalog, self.catalog.as_ref());
-            let physical = if gather {
-                pp.plan_gathered(optimized)?
-            } else {
-                pp.plan(optimized)?
-            };
+            let physical = if gather { pp.plan_gathered(plan)? } else { pp.plan(plan)? };
             let estimates = pp.estimates(&physical);
-            (physical, estimates)
-        };
+            Ok((physical, estimates))
+        })?;
         let dispatch_before = lardb_la::dispatch::dispatch_counters();
-        let mut result = {
-            let _g = SpanGuard::enter(sink, Stage::Execute, "");
-            let executor = Executor::new(&self.catalog, self.cluster(cancel))
+        let mut result = profile.time(Stage::Execute, || {
+            Executor::new(&self.catalog, self.cluster(cancel))
                 .with_transport(self.config.transport)
                 .with_net_config(self.config.net.clone())
                 .with_memory(self.mem.clone())
                 .with_expr_engine(self.config.expr_engine)
-                .with_batch_rows(self.config.batch_rows);
-            executor.execute(&physical)?
-        };
+                .with_batch_rows(self.config.batch_rows)
+                .execute(&physical)
+        })?;
         // Per-query kernel-dispatch attribution: the delta of the
         // process-wide counters across execution (concurrent queries may
         // bleed into each other's deltas). Also bridged to the global
@@ -1215,14 +1001,20 @@ impl Database {
             m.counter("la.dispatch.sp_syrk").add(d.sp_syrk);
             m.counter("la.dispatch.densified").add(d.densified);
         }
-        let operators = join_estimates(&estimates, &result.stats);
-        profile.operators.extend(operators.iter().cloned());
+        profile.operators.extend(join_estimates(&estimates, &result.stats));
         let schema = result.schema.clone();
         let stats = std::mem::take(&mut result.stats);
-        Ok((
-            QueryResult { schema, rows: result.into_rows(), stats },
-            operators,
-        ))
+        Ok(QueryResult { schema, rows: result.into_rows(), stats })
+    }
+
+    /// Creates catalog table `name` holding `rows` (round-robin
+    /// placement); returns the row count.
+    fn create_table_from(&self, name: &str, schema: Schema, rows: Vec<Row>) -> Result<usize> {
+        let mut table = Table::new(name, schema, self.config.workers, Partitioning::RoundRobin);
+        let n = rows.len();
+        table.insert_all(rows)?;
+        self.catalog.create_table(table)?;
+        Ok(n)
     }
 
     /// Re-materializes the introspection virtual tables (`metrics`,
@@ -1266,9 +1058,7 @@ impl Database {
             self.catalog.drop_table(name)?;
         }
         let (schema, rows) = snapshot();
-        let mut table = Table::new(name, schema, self.config.workers, Partitioning::RoundRobin);
-        table.insert_all(rows)?;
-        self.catalog.create_table(table)?;
+        self.create_table_from(name, schema, rows)?;
         auto.store(true, Ordering::Release);
         Ok(())
     }
@@ -1288,10 +1078,10 @@ impl Database {
         Ok(())
     }
 
-    /// Programmatic bulk load (used by generators: vectors and matrices
-    /// cannot be written as SQL literals). Maintains materialized views
-    /// over the table and invalidates the plan cache's stats version,
-    /// like SQL `INSERT`.
+    /// Bulk load: SQL `INSERT` lands here with its evaluated rows, and
+    /// generators call it directly (vectors and matrices cannot be written
+    /// as SQL literals). Maintains materialized views over the table and
+    /// invalidates the plan cache's stats version for it.
     pub fn insert_rows(
         &self,
         table: &str,
@@ -1300,6 +1090,8 @@ impl Database {
         let materialized: Vec<Row> = rows.into_iter().collect();
         let n = materialized.len();
         let handle = self.catalog.table(table)?;
+        // Clone the delta only when some materialized view's lineage
+        // includes this table.
         if self.catalog.matviews_on(table).is_empty() {
             handle.write().insert_all(materialized)?;
         } else {
@@ -1307,6 +1099,8 @@ impl Database {
             handle.write().insert_all(materialized)?;
             self.maintain_matviews_on(table, &delta)?;
         }
+        // Per-table: only cached plans reading this table (or a
+        // maintained view, bumped during maintenance) go stale.
         self.plan_cache.bump_stats(table);
         Ok(n)
     }
@@ -1327,6 +1121,33 @@ impl PreparedStatement {
     pub fn sql(&self) -> &str {
         &self.sql
     }
+}
+
+/// A statement for [`Database::execute_with`]: SQL text, or a statement
+/// prepared by [`Database::prepare`].
+#[derive(Debug, Clone, Copy)]
+pub enum Stmt<'a> {
+    /// SQL text, parsed when executed.
+    Sql(&'a str),
+    /// A prepared statement: its parse tree and cache shape are reused.
+    Prepared(&'a PreparedStatement),
+}
+
+impl<'a> Stmt<'a> {
+    fn sql(self) -> &'a str {
+        match self {
+            Stmt::Sql(sql) => sql,
+            Stmt::Prepared(p) => &p.sql,
+        }
+    }
+}
+
+/// A statement's place in the plan cache: its normalized shape and the
+/// catalog version captured before it was bound.
+#[derive(Clone, Copy)]
+pub(crate) struct CacheSlot<'a> {
+    norm: &'a NormalizedStatement,
+    version: u64,
 }
 
 /// True when the SELECT references any auto-materialized introspection
@@ -1901,7 +1722,7 @@ mod tests {
         db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
         let cancel = lardb_exec::CancelToken::new();
         cancel.cancel();
-        let err = db.execute_with_cancel("SELECT id FROM t", &cancel).unwrap_err();
+        let err = db.execute_with(Stmt::Sql("SELECT id FROM t"), &cancel, None).unwrap_err();
         assert!(
             err.to_string().contains("killed") || err.to_string().contains("cancel"),
             "unexpected error: {err}"

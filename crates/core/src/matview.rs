@@ -36,10 +36,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lardb_obs::{CollectingSink, QueryProfile};
+use lardb_exec::CancelToken;
+use lardb_obs::QueryProfile;
 use lardb_planner::{AggFunc, LogicalPlan};
 use lardb_sql::ast::{AstExpr, SelectItem, SelectStatement, Statement, TableRef};
-use lardb_sql::{parse_statement, Binder};
+use lardb_sql::parse_statement;
 use lardb_storage::{Partitioning, Row, Table};
 
 use crate::database::{Database, QueryResult};
@@ -206,15 +207,13 @@ fn key_of(row: &Row, roles: &[Option<AggFunc>]) -> String {
 }
 
 impl Database {
-    /// Binds and runs a SELECT with a throwaway sink/profile: the
-    /// maintenance machinery's internal queries must not disturb
-    /// [`Database::last_profile`] or the plan cache.
-    pub(crate) fn run_select_internal(&self, sel: &SelectStatement) -> Result<QueryResult> {
-        let plan = Binder::new(self.catalog()).bind_select(sel)?;
-        let sink = CollectingSink::new();
-        let mut profile = QueryProfile::new("<matview maintenance>");
-        let (result, _) = self.run_traced(plan, false, None, &sink, &mut profile)?;
-        Ok(result)
+    /// Plans and runs a maintenance query: uncached, into a throwaway
+    /// profile, under its own cancel token, so the maintenance machinery
+    /// never disturbs [`Database::last_profile`] or the plan cache.
+    fn run_maintenance(&self, sel: &SelectStatement) -> Result<QueryResult> {
+        let mut scratch = QueryProfile::default();
+        let (plan, _) = self.plan(sel, None, &mut scratch)?;
+        self.run(&plan, false, &CancelToken::new(), &mut scratch)
     }
 
     /// Parses a materialized view's stored definition.
@@ -255,7 +254,7 @@ impl Database {
             EngineError::Usage(format!("no such materialized view: {name}"))
         })?;
         let sel = self.matview_select(name, &def.sql)?;
-        let result = self.run_select_internal(&sel)?;
+        let result = self.run_maintenance(&sel)?;
         let n = self.replace_matview_table(name, result)?;
         let registry = lardb_obs::global();
         registry.counter("mv.refresh.recompute").inc();
@@ -321,7 +320,7 @@ impl Database {
                 }
             }
         }
-        let result = self.run_select_internal(&rewritten);
+        let result = self.run_maintenance(&rewritten);
         let _ = self.catalog().drop_table(&delta_name);
         result
     }

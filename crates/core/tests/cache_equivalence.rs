@@ -413,3 +413,162 @@ fn cache_and_mv_metrics_surface_in_show_metrics() {
         );
     }
 }
+
+/// How a characterization case submits its measured statement.
+enum Submit {
+    /// `Database::execute` on the SQL text.
+    Sql(&'static str),
+    /// `Database::prepare` before measuring, `execute_prepared` inside.
+    Prepared(&'static str),
+}
+
+/// One statement of the lifecycle characterization: statements run
+/// before measuring, the measured statement, the lifecycle stages its
+/// profile must show as non-zero, and its plan-cache deltas.
+struct LifecycleCase {
+    name: &'static str,
+    setup: &'static [&'static str],
+    submit: Submit,
+    stages: &'static [&'static str],
+    hits: u64,
+    misses: u64,
+    inserts: i64,
+}
+
+const GROUPED: &str = "SELECT g, SUM(v) AS s FROM facts GROUP BY g";
+const ALL_STAGES: &[&str] = &["parse", "bind", "optimize", "plan", "execute"];
+
+const LIFECYCLE: &[LifecycleCase] = &[
+    LifecycleCase {
+        name: "select miss",
+        setup: &[],
+        submit: Submit::Sql(GROUPED),
+        stages: ALL_STAGES,
+        hits: 0,
+        misses: 1,
+        inserts: 1,
+    },
+    LifecycleCase {
+        name: "select hit",
+        setup: &[GROUPED],
+        submit: Submit::Sql(GROUPED),
+        stages: &["plan", "execute"],
+        hits: 1,
+        misses: 0,
+        inserts: 0,
+    },
+    LifecycleCase {
+        name: "prepared hit",
+        setup: &[],
+        submit: Submit::Prepared(GROUPED),
+        stages: &["plan", "execute"],
+        hits: 1,
+        misses: 0,
+        inserts: 0,
+    },
+    LifecycleCase {
+        name: "explain",
+        setup: &[],
+        submit: Submit::Sql("EXPLAIN SELECT g, SUM(v) AS s FROM facts GROUP BY g"),
+        stages: &["parse", "bind", "optimize"],
+        hits: 0,
+        misses: 1,
+        inserts: 1,
+    },
+    LifecycleCase {
+        name: "explain analyze hit",
+        setup: &[GROUPED],
+        submit: Submit::Sql("EXPLAIN ANALYZE SELECT g, SUM(v) AS s FROM facts GROUP BY g"),
+        stages: &["parse", "bind", "plan", "execute"],
+        hits: 1,
+        misses: 0,
+        inserts: 0,
+    },
+    LifecycleCase {
+        name: "explain trace",
+        setup: &[],
+        submit: Submit::Sql("EXPLAIN TRACE SELECT g, SUM(v) AS s FROM facts GROUP BY g"),
+        stages: ALL_STAGES,
+        hits: 0,
+        misses: 0,
+        inserts: 0,
+    },
+    LifecycleCase {
+        name: "create table as",
+        setup: &[],
+        submit: Submit::Sql("CREATE TABLE sums AS SELECT g, SUM(v) AS s FROM facts GROUP BY g"),
+        stages: ALL_STAGES,
+        hits: 0,
+        misses: 0,
+        inserts: 0,
+    },
+    LifecycleCase {
+        name: "create materialized view",
+        setup: &[],
+        submit: Submit::Sql(
+            "CREATE MATERIALIZED VIEW mv AS SELECT g, SUM(v) AS s FROM facts GROUP BY g",
+        ),
+        stages: ALL_STAGES,
+        hits: 0,
+        misses: 0,
+        inserts: 0,
+    },
+    LifecycleCase {
+        name: "insert maintaining a view",
+        setup: &["CREATE MATERIALIZED VIEW mv AS SELECT g, SUM(v) AS s FROM facts GROUP BY g"],
+        submit: Submit::Sql("INSERT INTO facts VALUES (500, 2, 0.5), (501, 3, 0.75)"),
+        stages: &["parse"],
+        hits: 0,
+        misses: 0,
+        inserts: 0,
+    },
+];
+
+/// Characterizes the statement lifecycle: for each statement kind, which
+/// stages its `last_profile()` times, how it moves the plan-cache
+/// counters, and that the profile is the statement's own (a maintenance
+/// INSERT's internal queries never replace it).
+#[test]
+fn statement_lifecycle_profiles_and_cache_counts() {
+    for case in LIFECYCLE {
+        let db = seed_db(config(2, SchedulerMode::Pool));
+        for sql in case.setup {
+            db.execute(sql).unwrap();
+        }
+        let (sql, prepared) = match case.submit {
+            Submit::Sql(sql) => (sql, None),
+            Submit::Prepared(sql) => (sql, Some(db.prepare(sql).unwrap())),
+        };
+        let before = db.plan_cache_stats();
+        match &prepared {
+            Some(p) => db.execute_prepared(p),
+            None => db.execute(sql),
+        }
+        .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let after = db.plan_cache_stats();
+        assert_eq!(after.hits - before.hits, case.hits, "{}: hits", case.name);
+        assert_eq!(after.misses - before.misses, case.misses, "{}: misses", case.name);
+        assert_eq!(
+            after.entries as i64 - before.entries as i64,
+            case.inserts,
+            "{}: inserts",
+            case.name
+        );
+
+        let profile = db.last_profile().expect("every statement publishes a profile");
+        assert_eq!(profile.query, sql, "{}: profile belongs to the statement", case.name);
+        let timed: Vec<&str> = ALL_STAGES
+            .iter()
+            .copied()
+            .filter(|s| profile.stage_ms(s).is_some_and(|ms| ms > 0.0))
+            .collect();
+        assert_eq!(timed, case.stages, "{}: non-zero stages", case.name);
+        let ran_plan = case.stages.contains(&"execute");
+        assert_eq!(
+            !profile.operators.is_empty(),
+            ran_plan,
+            "{}: operator records only for statements that ran a plan",
+            case.name
+        );
+    }
+}

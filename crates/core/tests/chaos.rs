@@ -267,10 +267,13 @@ fn cancellation_latency_is_bounded() {
     let worker_cancel = cancel.clone();
     let worker_db = db.clone();
     let worker = std::thread::spawn(move || {
-        worker_db.execute_with_cancel(
-            "SELECT COUNT(*) AS n FROM big AS x, big AS y, big AS z \
-             WHERE x.b + y.b + z.b < 0.0",
+        worker_db.execute_with(
+            lardb::Stmt::Sql(
+                "SELECT COUNT(*) AS n FROM big AS x, big AS y, big AS z \
+                 WHERE x.b + y.b + z.b < 0.0",
+            ),
             &worker_cancel,
+            None,
         )
     });
 

@@ -8,8 +8,10 @@
 //! crate's hand-rolled [`crate::json`] writer) for the bench harness's
 //! `--profile-json` export.
 
+use std::time::Instant;
+
 use crate::json::{array, ObjectWriter};
-use crate::span::{SpanRecord, Stage};
+use crate::span::Stage;
 
 /// q-error of an estimate against an actual: `max(est/act, act/est)`.
 ///
@@ -105,8 +107,8 @@ impl QueryProfile {
         }
     }
 
-    /// Adds `wall_ms` to the named stage (creating it if absent — worker
-    /// spans, say, are not part of the pre-seeded five).
+    /// Adds `wall_ms` to the named stage (creating it if absent, as in a
+    /// `default()` profile).
     pub fn add_stage(&mut self, stage: &str, wall_ms: f64) {
         match self.stages.iter_mut().find(|s| s.stage == stage) {
             Some(s) => s.wall_ms += wall_ms,
@@ -117,11 +119,15 @@ impl QueryProfile {
         }
     }
 
-    /// Folds a batch of finished spans into the stage timings.
-    pub fn add_spans(&mut self, spans: &[SpanRecord]) {
-        for span in spans {
-            self.add_stage(span.stage.name(), span.wall_ms);
-        }
+    /// Runs `f` as lifecycle stage `stage`: its wall time is added to the
+    /// stage whether `f` succeeds or fails, and the stage is mirrored as a
+    /// span into the thread's current trace (see [`crate::trace::current`]).
+    pub fn time<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
+        let _span = crate::trace::current().map(|t| t.span(stage.name(), "query"));
+        let started = Instant::now();
+        let out = f();
+        self.add_stage(stage.name(), started.elapsed().as_secs_f64() * 1e3);
+        out
     }
 
     /// Wall time of the named stage, if present.
@@ -205,6 +211,23 @@ mod tests {
         assert_eq!(a.stage_ms("worker"), Some(1.0));
         assert_eq!(a.operators.len(), 1);
         assert_eq!(a.max_q_error_rows(), Some(2.0));
+    }
+
+    #[test]
+    fn time_records_stage() {
+        let mut p = QueryProfile::new("SELECT 1");
+        let out = p.time(Stage::Parse, || 7);
+        assert_eq!(out, 7);
+        assert!(p.stage_ms("parse").unwrap() > 0.0);
+        assert_eq!(p.stage_ms("bind"), Some(0.0));
+    }
+
+    #[test]
+    fn time_records_stage_on_error() {
+        let mut p = QueryProfile::new("SELECT 1");
+        let out: Result<(), ()> = p.time(Stage::Bind, || Err(()));
+        assert!(out.is_err());
+        assert!(p.stage_ms("bind").unwrap() > 0.0);
     }
 
     #[test]

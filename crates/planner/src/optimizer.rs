@@ -57,7 +57,7 @@ impl StatsSource for HashMap<String, usize> {
 
 /// Optimizer switches; each `false` is an ablation knob used by the
 /// benchmark suite.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OptimizerConfig {
     /// Use inferred LA dimensions when pricing row widths (§4.2). When
     /// off, every column is priced at 8 bytes and the optimizer re-creates

@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use lardb::{CancelToken, Database, EngineError, PreparedStatement, QueryResult, Response};
+use lardb::{CancelToken, Database, EngineError, PreparedStatement, QueryResult, Response, Stmt};
 use lardb_exec::ExecError;
 use lardb_net::codec::{checksum_update, FinSummary, Frame, CHECKSUM_SEED};
 use lardb_net::{msg, Message};
@@ -295,14 +295,8 @@ fn run_query(
     let exec = std::thread::Builder::new()
         .name(format!("lardb-query-{query_id}"))
         .spawn(move || {
-            let result = match (&exec_trace, &exec_prepared) {
-                (Some(t), Some(p)) => {
-                    exec_db.execute_prepared_with_trace(p, &exec_cancel, t)
-                }
-                (None, Some(p)) => exec_db.execute_prepared_with_cancel(p, &exec_cancel),
-                (Some(t), None) => exec_db.execute_with_trace(&exec_sql, &exec_cancel, t),
-                (None, None) => exec_db.execute_with_cancel(&exec_sql, &exec_cancel),
-            };
+            let stmt = exec_prepared.as_ref().map_or(Stmt::Sql(&exec_sql), Stmt::Prepared);
+            let result = exec_db.execute_with(stmt, &exec_cancel, exec_trace.as_ref());
             let _ = tx.send(result);
         });
     let exec = match exec {
