@@ -19,6 +19,8 @@ use lardb::{
     Partitioning, Row, Schema, SchedulerMode, SparseMatrix, TransportMode, Value,
     Vector,
 };
+use lardb_obs::context::enter;
+use lardb_obs::QueryContext;
 
 const DENSITIES: &[f64] = &[0.001, 0.01, 0.1, 0.5];
 /// SpMV operand side (dense baseline: ~2.4M multiply-adds per run).
@@ -57,10 +59,11 @@ fn dense_vector(n: usize) -> Vector {
     Vector::from_vec((0..n).map(|i| (i as f64 + 1.0) / 8.0).collect())
 }
 
-/// One SpMV the way the engine dispatches it: sparse kernel when the
-/// dispatch layer keeps the tile sparse, densify-then-dense otherwise.
+/// One SpMV the way the engine dispatches it inside a query of the given
+/// mode: sparse kernel when the dispatch layer keeps the tile sparse,
+/// densify-then-dense otherwise.
 fn spmv_arm(m: &SparseMatrix, dense: &Matrix, x: &Vector, mode: DispatchMode) -> f64 {
-    dispatch::set_dispatch_mode(mode);
+    let _ctx = enter(Some(QueryContext::new(None, mode)));
     let y = if dispatch::keep_sparse(m.density()) {
         m.spmv(x).unwrap()
     } else {
@@ -76,7 +79,7 @@ fn gemm_arm(
     bd: &Matrix,
     mode: DispatchMode,
 ) -> f64 {
-    dispatch::set_dispatch_mode(mode);
+    let _ctx = enter(Some(QueryContext::new(None, mode)));
     if dispatch::keep_sparse(a.density()) {
         a.multiply_sparse(b).unwrap().sum_elements()
     } else {
@@ -121,7 +124,6 @@ fn bench_density_sweep(c: &mut Criterion) {
         });
     }
     g.finish();
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 criterion_group!(benches, bench_density_sweep);
@@ -189,7 +191,6 @@ fn pagerank_run(
         if sparse { Value::sparse_matrix(m.clone()) } else { Value::matrix(m.to_dense()) };
     db.insert_rows("graph", std::iter::once(Row::new(vec![cell]))).unwrap();
 
-    dispatch::set_dispatch_mode(mode);
     let mut rank = vec![1.0 / n as f64; n];
     let mut delta = f64::INFINITY;
     let mut shuffled = 0usize;
@@ -243,7 +244,6 @@ fn logreg_run(
         if sparse { Value::sparse_matrix(x.clone()) } else { Value::matrix(x.to_dense()) };
     db.insert_rows("feats", std::iter::once(Row::new(vec![cell]))).unwrap();
 
-    dispatch::set_dispatch_mode(mode);
     let spmv = |k: usize, tag: &str, v: &[f64], transpose: bool| -> Vec<f64> {
         let table = format!("v_{tag}_{k}");
         db.create_table(
@@ -382,7 +382,6 @@ fn main() {
                 }
                 db.insert_rows(name, rows).unwrap();
             }
-            dispatch::set_dispatch_mode(mode);
             let r = db
                 .query(
                     "SELECT a.tr, b.tc, SUM(matrix_multiply(a.mat, b.mat)) AS m
@@ -435,7 +434,6 @@ fn main() {
         dense_ms / adaptive_ms.max(1e-9),
     ));
 
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
     let doc = format!(
         "{{\"bench\":\"sparse_density_sweep\",\"densities\":[0.001,0.01,0.1,0.5],\
          \"runs\":[{}]}}",

@@ -10,7 +10,8 @@ use lardb_exec::{
     TransportMode,
 };
 use lardb_pool::WorkerPool;
-use lardb_obs::{ActiveTrace, OperatorProfile, QueryProfile, Stage};
+use lardb_obs::context::ContextGuard;
+use lardb_obs::{ActiveTrace, DispatchMode, OperatorProfile, QueryContext, QueryProfile, Stage};
 use lardb_planner::physical::PhysicalPlanner;
 use lardb_planner::{LogicalPlan, Optimizer, OptimizerConfig, PlanEstimate};
 use lardb_sql::ast::{SelectStatement, Statement, TableRef};
@@ -56,24 +57,13 @@ pub struct DatabaseConfig {
     /// Scheduling strategy: morsel-driven pool (default) or the
     /// one-thread-per-partition-per-operator spawn baseline.
     pub scheduler: SchedulerMode,
-    /// Flop-count cutoff above which GEMM/SYRK kernels run pool-parallel;
-    /// `Some(0)` keeps all linear algebra inline, `None` (the default)
-    /// leaves the kernel's built-in cutoff untouched. Applied process-wide
-    /// at database construction.
-    pub gemm_parallel_flops: Option<usize>,
-    /// Zero-fraction / density threshold steering the density-adaptive
-    /// kernel dispatch (skip-zero GEMM inner loops, when sparse products
-    /// stay sparse). `None` (the default) honors `LARDB_SPARSE_THRESHOLD`,
-    /// falling back to the kernel default
-    /// ([`lardb_la::dispatch::DEFAULT_SPARSE_THRESHOLD`]). Applied
-    /// process-wide at database construction; clamped to `[0, 1]`.
-    pub sparse_threshold: Option<f64>,
-    /// Kernel-dispatch mode: `Adaptive` (the default) picks dense or
-    /// sparse kernels per tile by measured density; `Dense` / `Sparse`
-    /// force one representation everywhere (ablation / debugging).
-    /// `None` honors `LARDB_SPARSE_DISPATCH`. Applied process-wide at
-    /// database construction.
-    pub sparse_dispatch: Option<lardb_la::DispatchMode>,
+    /// Kernel-dispatch mode of this database's queries: `Adaptive` (the
+    /// default, also for `None`) picks dense or sparse kernels per tile by
+    /// measured density; `Dense` / `Sparse` force one representation
+    /// everywhere (the sparse ≡ dense differential oracle). Each query
+    /// carries it in its own context, so databases with different modes
+    /// can run side by side.
+    pub sparse_dispatch: Option<DispatchMode>,
     /// Network-layer knobs for serialized/TCP exchanges: I/O timeouts, the
     /// maximum accepted frame size, and an optional deterministic fault
     /// injection plan (see `lardb_exec::FaultPlan`) for chaos testing.
@@ -132,13 +122,7 @@ impl Default for DatabaseConfig {
             pool_workers: None,
             morsel_rows: lardb_exec::DEFAULT_MORSEL_ROWS,
             scheduler: SchedulerMode::default(),
-            gemm_parallel_flops: None,
-            sparse_threshold: std::env::var("LARDB_SPARSE_THRESHOLD")
-                .ok()
-                .and_then(|s| s.parse().ok()),
-            sparse_dispatch: std::env::var("LARDB_SPARSE_DISPATCH")
-                .ok()
-                .and_then(|s| lardb_la::DispatchMode::parse(&s)),
+            sparse_dispatch: None,
             net: NetConfig::default(),
             mem: None,
             spill_dir: None,
@@ -281,17 +265,8 @@ impl Database {
 
     /// A database with explicit configuration.
     pub fn with_config(config: DatabaseConfig) -> Self {
-        if let Some(flops) = config.gemm_parallel_flops {
-            lardb_la::gemm::set_parallel_flops(flops);
-        }
-        if let Some(t) = config.sparse_threshold {
-            lardb_la::dispatch::set_sparse_threshold(t);
-        }
-        if let Some(mode) = config.sparse_dispatch {
-            lardb_la::dispatch::set_dispatch_mode(mode);
-        }
-        // Flight-recorder knobs are process-global, like the GEMM cutoff:
-        // applied once at construction.
+        // Flight-recorder knobs are process-global (one ring per
+        // process): applied once at construction.
         match config.trace_sample {
             Some(0) => lardb_obs::recorder().set_enabled(false),
             Some(n) => {
@@ -333,21 +308,31 @@ impl Database {
     /// The cluster every query of this database executes on: the
     /// configured worker count, scheduler, morsel size, and (if
     /// dedicated) worker pool, under the statement's cancel token
-    /// (KILL / disconnect wiring).
-    fn cluster(&self, cancel: &CancelToken) -> Cluster {
+    /// (KILL / disconnect wiring) and the query's context, so morsel
+    /// workers dispatch kernels and attribute to the query.
+    fn cluster(&self, cancel: &CancelToken, ctx: &Arc<QueryContext>) -> Cluster {
         let mut cluster = Cluster::new(self.config.workers)
             .with_scheduler(self.config.scheduler)
             .with_morsel_rows(self.config.morsel_rows)
-            .with_cancel_token(cancel.clone());
+            .with_cancel_token(cancel.clone())
+            .with_context(Arc::clone(ctx));
         if let Some(pool) = &self.pool {
             cluster = cluster.with_pool(Arc::clone(pool));
         }
-        // Attach the statement's flight-recorder trace (if sampled) so
-        // morsel workers and exchange channels attribute to the query.
-        if let Some(trace) = lardb_obs::trace::current() {
-            cluster = cluster.with_trace(trace);
-        }
         cluster
+    }
+
+    /// The kernel-dispatch mode of this database's queries.
+    fn dispatch_mode(&self) -> DispatchMode {
+        self.config.sparse_dispatch.unwrap_or(DispatchMode::Adaptive)
+    }
+
+    /// Installs a fresh query context on this thread: `trace`, this
+    /// database's dispatch mode and zeroed kernel counts.
+    fn enter_context(&self, trace: Option<Arc<ActiveTrace>>) -> (Arc<QueryContext>, ContextGuard) {
+        let ctx = QueryContext::new(trace, self.dispatch_mode());
+        let guard = lardb_obs::context::enter(Some(Arc::clone(&ctx)));
+        (ctx, guard)
     }
 
     /// The shared catalog.
@@ -522,11 +507,11 @@ impl Database {
     ) -> Result<Response> {
         let t0 = Instant::now();
         let mut profile = QueryProfile::new(stmt.sql());
+        if let Some(t) = trace {
+            t.set_running();
+        }
         let result = {
-            let _cur = trace.map(|t| {
-                t.set_running();
-                lardb_obs::trace::push_current(Some(Arc::clone(t)))
-            });
+            let _cur = self.enter_context(trace.cloned());
             self.run_statement(stmt, cancel, &mut profile)
         };
         if let Some(t) = trace {
@@ -803,7 +788,7 @@ impl Database {
                     let parse = std::time::Duration::from_secs_f64(parse_ms / 1e3);
                     forced.record("parse", "query", minted, parse, Vec::new());
                     let run = {
-                        let _cur = lardb_obs::trace::push_current(Some(Arc::clone(&forced)));
+                        let _cur = self.enter_context(Some(Arc::clone(&forced)));
                         self.plan(&query, None, profile)
                             .and_then(|(plan, _)| self.run(&plan, true, cancel, profile))
                     };
@@ -856,7 +841,7 @@ impl Database {
                             "la dispatch ({}): {} dense, {} skip-zero, \
                              {} spmv, {} sp×dense, {} spgemm, {} sp-syrk, \
                              {} densified\n",
-                            lardb_la::dispatch::dispatch_mode().name(),
+                            self.dispatch_mode().name(),
                             d.dense,
                             d.skipzero,
                             d.spmv,
@@ -969,15 +954,17 @@ impl Database {
         cancel: &CancelToken,
         profile: &mut QueryProfile,
     ) -> Result<QueryResult> {
+        // A fresh context (same trace) per execution, so the kernel counts
+        // are exactly this plan's.
+        let (ctx, _cur) = self.enter_context(lardb_obs::trace::current());
         let (physical, estimates) = profile.time(Stage::Plan, || -> Result<_> {
             let mut pp = PhysicalPlanner::new(&self.catalog, self.catalog.as_ref());
             let physical = if gather { pp.plan_gathered(plan)? } else { pp.plan(plan)? };
             let estimates = pp.estimates(&physical);
             Ok((physical, estimates))
         })?;
-        let dispatch_before = lardb_la::dispatch::dispatch_counters();
         let mut result = profile.time(Stage::Execute, || {
-            Executor::new(&self.catalog, self.cluster(cancel))
+            Executor::new(&self.catalog, self.cluster(cancel, &ctx))
                 .with_transport(self.config.transport)
                 .with_net_config(self.config.net.clone())
                 .with_memory(self.mem.clone())
@@ -985,11 +972,9 @@ impl Database {
                 .with_batch_rows(self.config.batch_rows)
                 .execute(&physical)
         })?;
-        // Per-query kernel-dispatch attribution: the delta of the
-        // process-wide counters across execution (concurrent queries may
-        // bleed into each other's deltas). Also bridged to the global
-        // `la.dispatch.*` metrics SHOW METRICS exposes.
-        let d = lardb_la::dispatch::dispatch_counters().since(&dispatch_before);
+        // The query's own kernel-dispatch counts, also bridged to the
+        // global `la.dispatch.*` metrics SHOW METRICS exposes.
+        let d = ctx.counts();
         result.stats.dispatch = d;
         if d.any() {
             let m = lardb_obs::global();

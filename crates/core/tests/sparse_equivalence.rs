@@ -13,22 +13,15 @@
 //! follow identical trajectories; and serialized exchanges must ship
 //! sparse tiles proportionally to nnz, not rows × cols.
 //!
-//! Dispatch mode is process-wide, so every test takes `MODE_LOCK` and
-//! pins the mode it needs; tests never rely on the ambient default.
+//! Each database's dispatch mode comes only from its `DatabaseConfig`
+//! and travels with each of its queries, so tests run in parallel and
+//! databases with different modes share the process and its pool.
 
 use lardb::{
-    dispatch, CooBuilder, Database, DatabaseConfig, DataType, DispatchMode,
+    CooBuilder, Database, DatabaseConfig, DataType, DispatchCounters, DispatchMode,
     Partitioning, QueryResult, Row, SchedulerMode, Schema, SparseMatrix,
     TransportMode, Value, Vector,
 };
-use std::sync::Mutex;
-
-/// Serializes tests that flip the process-wide dispatch mode.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
-    MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Tiny deterministic xorshift so tile contents are identical run-to-run
 /// and across the sparse/dense twins.
@@ -161,38 +154,24 @@ fn exact_rows(r: &QueryResult) -> Vec<Vec<Value>> {
     r.rows.iter().map(|row| row.values().to_vec()).collect()
 }
 
-/// Runs a query with the process-wide dispatch mode pinned.
-fn run(db: &Database, mode: DispatchMode, q: &str) -> QueryResult {
-    dispatch::set_dispatch_mode(mode);
-    db.query(q).unwrap_or_else(|e| panic!("mode={} query={q}: {e}", mode.name()))
+fn run(db: &Database, q: &str) -> QueryResult {
+    db.query(q).unwrap_or_else(|e| panic!("query={q}: {e}"))
 }
 
-/// The sparse arm's dispatch mode. CI re-runs this suite with
-/// `LARDB_SPARSE_DISPATCH` forced to each mode: the differential
-/// contract is mode-independent, so the sparse-stored arm must match
-/// the forced-dense twin under *any* dispatch policy. Tests whose
+/// The sparse arm's dispatch modes. The differential contract is
+/// mode-independent, so the sparse-stored arm must match the
+/// forced-dense twin under *any* dispatch policy. Tests whose
 /// assertions are representation-specific (wire bytes, EXPLAIN output,
 /// `as_sparse_matrix` downcasts) pin their modes instead.
-fn sparse_arm_mode() -> DispatchMode {
-    std::env::var("LARDB_SPARSE_DISPATCH")
-        .ok()
-        .and_then(|s| DispatchMode::parse(&s))
-        .unwrap_or(DispatchMode::Adaptive)
-}
+const ARMS: [DispatchMode; 3] =
+    [DispatchMode::Adaptive, DispatchMode::Dense, DispatchMode::Sparse];
 
 #[test]
 fn sparse_matches_dense_across_density_workers_schedulers() {
-    let _g = mode_lock();
-    let arm = sparse_arm_mode();
     for density in [0.001, 0.01, 0.1, 0.5] {
         for workers in [1usize, 4] {
             for scheduler in [SchedulerMode::Pool, SchedulerMode::Spawn] {
                 let tag = format!("d{density}-w{workers}-{scheduler:?}");
-                let sparse_db = tile_db(
-                    config(workers, TransportMode::Pointer, scheduler, None, arm, &tag),
-                    true,
-                    density,
-                );
                 let dense_db = tile_db(
                     config(
                         workers,
@@ -205,26 +184,33 @@ fn sparse_matches_dense_across_density_workers_schedulers() {
                     false,
                     density,
                 );
-                for q in QUERIES {
-                    let got = run(&sparse_db, arm, q);
-                    let want = run(&dense_db, DispatchMode::Dense, q);
-                    assert_eq!(
-                        exact_rows(&got),
-                        exact_rows(&want),
-                        "density={density} W={workers} scheduler={scheduler:?} query={q}"
+                let want: Vec<_> = QUERIES.iter().map(|q| run(&dense_db, q)).collect();
+                for arm in ARMS {
+                    let sparse_db = tile_db(
+                        config(workers, TransportMode::Pointer, scheduler, None, arm, &tag),
+                        true,
+                        density,
                     );
+                    for (q, want) in QUERIES.iter().zip(&want) {
+                        let got = run(&sparse_db, q);
+                        assert_eq!(
+                            exact_rows(&got),
+                            exact_rows(want),
+                            "arm={} density={density} W={workers} scheduler={scheduler:?} \
+                             query={q}",
+                            arm.name()
+                        );
+                    }
                 }
             }
         }
     }
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// Forced-sparse mode must agree too — skip-zero loops and sparse
 /// kernels are exact no-op-skipping rewrites of the dense loops.
 #[test]
 fn forced_sparse_mode_matches_forced_dense() {
-    let _g = mode_lock();
     let sparse_db = tile_db(
         config(
             4,
@@ -250,11 +236,10 @@ fn forced_sparse_mode_matches_forced_dense() {
         0.1,
     );
     for q in QUERIES {
-        let got = run(&sparse_db, DispatchMode::Sparse, q);
-        let want = run(&dense_db, DispatchMode::Dense, q);
+        let got = run(&sparse_db, q);
+        let want = run(&dense_db, q);
         assert_eq!(exact_rows(&got), exact_rows(&want), "query={q}");
     }
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// Serialized transport (tag-8 sparse wire frames) + a 1 MiB spill
@@ -262,22 +247,8 @@ fn forced_sparse_mode_matches_forced_dense() {
 /// pointer-mode dense twin.
 #[test]
 fn serialized_budgeted_sparse_matches_unbounded_dense() {
-    let _g = mode_lock();
-    let arm = sparse_arm_mode();
     for density in [0.01, 0.5] {
         let tag = format!("ser-d{density}");
-        let budgeted = tile_db(
-            config(
-                4,
-                TransportMode::Serialized,
-                SchedulerMode::Pool,
-                Some(1),
-                arm,
-                &tag,
-            ),
-            true,
-            density,
-        );
         let unbounded = tile_db(
             config(
                 4,
@@ -290,14 +261,32 @@ fn serialized_budgeted_sparse_matches_unbounded_dense() {
             false,
             density,
         );
-        for q in QUERIES {
-            let got = run(&budgeted, arm, q);
-            let want = run(&unbounded, DispatchMode::Dense, q);
-            assert_eq!(exact_rows(&got), exact_rows(&want), "density={density} query={q}");
+        let want: Vec<_> = QUERIES.iter().map(|q| run(&unbounded, q)).collect();
+        for arm in ARMS {
+            let budgeted = tile_db(
+                config(
+                    4,
+                    TransportMode::Serialized,
+                    SchedulerMode::Pool,
+                    Some(1),
+                    arm,
+                    &tag,
+                ),
+                true,
+                density,
+            );
+            for (q, want) in QUERIES.iter().zip(&want) {
+                let got = run(&budgeted, q);
+                assert_eq!(
+                    exact_rows(&got),
+                    exact_rows(want),
+                    "arm={} density={density} query={q}",
+                    arm.name()
+                );
+            }
+            assert_spill_dir_empty(&spill_dir(&tag));
         }
-        assert_spill_dir_empty(&spill_dir(&tag));
     }
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// Serialized exchanges ship sparse tiles proportionally to nnz: the
@@ -306,7 +295,6 @@ fn serialized_budgeted_sparse_matches_unbounded_dense() {
 /// is 32 KiB; its 1% CSR twin is under a kilobyte).
 #[test]
 fn exchange_bytes_scale_with_nnz_not_shape() {
-    let _g = mode_lock();
     let q = QUERIES[0]; // the tile join repartitions both tables' cells
     let sparse_db = tile_db(
         config(
@@ -332,8 +320,8 @@ fn exchange_bytes_scale_with_nnz_not_shape() {
         false,
         0.01,
     );
-    let got = run(&sparse_db, DispatchMode::Adaptive, q);
-    let want = run(&dense_db, DispatchMode::Dense, q);
+    let got = run(&sparse_db, q);
+    let want = run(&dense_db, q);
     assert_eq!(exact_rows(&got), exact_rows(&want));
     let (sparse_bytes, dense_bytes) =
         (got.stats.total_bytes_shuffled(), want.stats.total_bytes_shuffled());
@@ -345,7 +333,6 @@ fn exchange_bytes_scale_with_nnz_not_shape() {
         sparse_bytes * 10 < dense_bytes,
         "sparse exchange not nnz-proportional: {sparse_bytes} vs dense {dense_bytes}"
     );
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// `MATRIX_FROM_ENTRIES` over a W=4 edge table: duplicates sum, the
@@ -354,26 +341,6 @@ fn exchange_bytes_scale_with_nnz_not_shape() {
 /// coordinates surface as typed errors (never a truncated matrix).
 #[test]
 fn matrix_from_entries_sql_end_to_end() {
-    let _g = mode_lock();
-    let db = Database::with_config(config(
-        4,
-        TransportMode::Pointer,
-        SchedulerMode::Pool,
-        None,
-        DispatchMode::Adaptive,
-        "mfe",
-    ));
-    db.create_table(
-        "edges",
-        Schema::from_pairs(&[
-            ("g", DataType::Integer),
-            ("i", DataType::Integer),
-            ("j", DataType::Integer),
-            ("w", DataType::Double),
-        ]),
-        Partitioning::Hash(1),
-    )
-    .unwrap();
     let mut rng = rngish(0xed9e);
     let mut rows = Vec::new();
     let mut expected = CooBuilder::new();
@@ -398,11 +365,33 @@ fn matrix_from_entries_sql_end_to_end() {
             Value::Double(1.0),
         ]));
     }
-    db.insert_rows("edges", rows).unwrap();
     let expected = expected.build_inferred();
     assert_eq!(expected.shape(), (40, 30));
+    let edges_db = |mode, tag: &str| {
+        let db = Database::with_config(config(
+            4,
+            TransportMode::Pointer,
+            SchedulerMode::Pool,
+            None,
+            mode,
+            tag,
+        ));
+        db.create_table(
+            "edges",
+            Schema::from_pairs(&[
+                ("g", DataType::Integer),
+                ("i", DataType::Integer),
+                ("j", DataType::Integer),
+                ("w", DataType::Double),
+            ]),
+            Partitioning::Hash(1),
+        )
+        .unwrap();
+        db.insert_rows("edges", rows.clone()).unwrap();
+        db
+    };
 
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
+    let db = edges_db(DispatchMode::Adaptive, "mfe");
     let r = db.query("SELECT MATRIX_FROM_ENTRIES(i, j, w) AS m FROM edges").unwrap();
     assert_eq!(r.rows.len(), 1);
     let got = r.rows[0].value(0).as_sparse_matrix().expect("adaptive result is sparse");
@@ -410,11 +399,10 @@ fn matrix_from_entries_sql_end_to_end() {
     assert_eq!(got.csr_parts(), expected.csr_parts(), "duplicate summation diverged");
 
     // Forced dense: same matrix, dense representation.
-    dispatch::set_dispatch_mode(DispatchMode::Dense);
-    let r = db.query("SELECT MATRIX_FROM_ENTRIES(i, j, w) AS m FROM edges").unwrap();
+    let dense_db = edges_db(DispatchMode::Dense, "mfe-dense");
+    let r = dense_db.query("SELECT MATRIX_FROM_ENTRIES(i, j, w) AS m FROM edges").unwrap();
     let dense = r.rows[0].value(0).as_matrix().expect("forced-dense result is dense");
     assert_eq!(dense.as_ref(), &expected.to_dense());
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 
     // Grouped construction splits the same edges into per-group matrices
     // whose sum of entries matches the whole.
@@ -494,7 +482,7 @@ fn graph_db(mode: DispatchMode, sparse: bool, m: &SparseMatrix, tag: &str) -> Da
 /// One damped PageRank step driven through SQL SpMV: inserts the rank
 /// vector as `rank_k(x)`, queries `M · x`, applies damping in the
 /// driver, and returns the next vector.
-fn pagerank_step(db: &Database, mode: DispatchMode, k: usize, rank: &[f64]) -> Vec<f64> {
+fn pagerank_step(db: &Database, k: usize, rank: &[f64]) -> Vec<f64> {
     let n = rank.len();
     let table = format!("rank_{k}");
     db.create_table(
@@ -510,7 +498,6 @@ fn pagerank_step(db: &Database, mode: DispatchMode, k: usize, rank: &[f64]) -> V
     .unwrap();
     let r = run(
         db,
-        mode,
         &format!("SELECT matrix_vector_multiply(g.m, r.x) AS y FROM graph AS g, {table} AS r"),
     );
     assert_eq!(r.rows.len(), 1);
@@ -522,30 +509,29 @@ fn pagerank_step(db: &Database, mode: DispatchMode, k: usize, rank: &[f64]) -> V
 /// bit-for-bit and converges.
 #[test]
 fn pagerank_sparse_trajectory_matches_dense() {
-    let _g = mode_lock();
     const N: usize = 200;
-    let arm = sparse_arm_mode();
     let m = stochastic_graph(N);
     assert!(m.density() < 0.05, "graph should be sparse, got {}", m.density());
-    let sparse_db = graph_db(arm, true, &m, "pr-sparse");
-    let dense_db = graph_db(DispatchMode::Dense, false, &m, "pr-dense");
+    for arm in ARMS {
+        let sparse_db = graph_db(arm, true, &m, &format!("pr-sparse-{}", arm.name()));
+        let dense_db = graph_db(DispatchMode::Dense, false, &m, "pr-dense");
 
-    let mut rank_s = vec![1.0 / N as f64; N];
-    let mut rank_d = rank_s.clone();
-    let mut last_delta = f64::INFINITY;
-    for k in 0..60 {
-        let next_s = pagerank_step(&sparse_db, arm, k, &rank_s);
-        let next_d = pagerank_step(&dense_db, DispatchMode::Dense, k, &rank_d);
-        assert_eq!(next_s, next_d, "PageRank diverged at iteration {k}");
-        last_delta =
-            next_s.iter().zip(&rank_s).map(|(a, b)| (a - b).abs()).sum::<f64>();
-        rank_s = next_s;
-        rank_d = next_d;
+        let mut rank_s = vec![1.0 / N as f64; N];
+        let mut rank_d = rank_s.clone();
+        let mut last_delta = f64::INFINITY;
+        for k in 0..60 {
+            let next_s = pagerank_step(&sparse_db, k, &rank_s);
+            let next_d = pagerank_step(&dense_db, k, &rank_d);
+            assert_eq!(next_s, next_d, "PageRank diverged at iteration {k}, arm {}", arm.name());
+            last_delta =
+                next_s.iter().zip(&rank_s).map(|(a, b)| (a - b).abs()).sum::<f64>();
+            rank_s = next_s;
+            rank_d = next_d;
+        }
+        assert!(last_delta < 1e-8, "PageRank did not converge: L1 delta {last_delta}");
+        let total: f64 = rank_s.iter().sum();
+        assert!((total - 1.0).abs() < 1e-9, "ranks must stay a distribution: {total}");
     }
-    assert!(last_delta < 1e-8, "PageRank did not converge: L1 delta {last_delta}");
-    let total: f64 = rank_s.iter().sum();
-    assert!((total - 1.0).abs() < 1e-9, "ranks must stay a distribution: {total}");
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// Logistic-regression batch gradient descent: `z = X·w` and the
@@ -555,7 +541,6 @@ fn pagerank_sparse_trajectory_matches_dense() {
 /// with decreasing loss.
 #[test]
 fn logreg_sparse_trajectory_matches_dense() {
-    let _g = mode_lock();
     const ROWS: usize = 120;
     const FEATS: usize = 16;
     let x = sparse_tile(0x10919, ROWS, FEATS, 0.1);
@@ -585,11 +570,7 @@ fn logreg_sparse_trajectory_matches_dense() {
         db.insert_rows("feats", std::iter::once(Row::new(vec![cell]))).unwrap();
         db
     };
-    let arm = sparse_arm_mode();
-    let sparse_db = make(arm, true, "lr-sparse");
-    let dense_db = make(DispatchMode::Dense, false, "lr-dense");
-
-    let spmv = |db: &Database, mode, k: usize, tag: &str, v: &[f64], transpose: bool| {
+    let spmv = |db: &Database, k: usize, tag: &str, v: &[f64], transpose: bool| {
         let table = format!("v_{tag}_{k}");
         db.create_table(
             &table,
@@ -607,11 +588,7 @@ fn logreg_sparse_trajectory_matches_dense() {
         } else {
             "matrix_vector_multiply(f.m, r.x)"
         };
-        let r = run(
-            db,
-            mode,
-            &format!("SELECT {expr} AS y FROM feats AS f, {table} AS r"),
-        );
+        let r = run(db, &format!("SELECT {expr} AS y FROM feats AS f, {table} AS r"));
         r.rows[0].value(0).as_vector().unwrap().as_slice().to_vec()
     };
 
@@ -627,37 +604,40 @@ fn logreg_sparse_trajectory_matches_dense() {
             / ROWS as f64
     };
 
-    let mut w_s = vec![0.0f64; FEATS];
-    let mut w_d = w_s.clone();
-    let mut losses = Vec::new();
-    for k in 0..25 {
-        let z_s = spmv(&sparse_db, arm, k, "z", &w_s, false);
-        let z_d = spmv(&dense_db, DispatchMode::Dense, k, "z", &w_d, false);
-        assert_eq!(z_s, z_d, "X·w diverged at iteration {k}");
-        let p: Vec<f64> = z_s.iter().map(|&z| sigmoid(z)).collect();
-        losses.push(loss(&p));
-        let resid: Vec<f64> = p.iter().zip(&y).map(|(&p, &yi)| p - yi).collect();
-        let g_s = spmv(&sparse_db, arm, k, "g", &resid, true);
-        let g_d = spmv(&dense_db, DispatchMode::Dense, k, "g", &resid, true);
-        assert_eq!(g_s, g_d, "Xᵀ·r diverged at iteration {k}");
-        for i in 0..FEATS {
-            w_s[i] -= 0.05 / ROWS as f64 * g_s[i];
-            w_d[i] -= 0.05 / ROWS as f64 * g_d[i];
+    for arm in ARMS {
+        let sparse_db = make(arm, true, &format!("lr-sparse-{}", arm.name()));
+        let dense_db = make(DispatchMode::Dense, false, "lr-dense");
+
+        let mut w_s = vec![0.0f64; FEATS];
+        let mut w_d = w_s.clone();
+        let mut losses = Vec::new();
+        for k in 0..25 {
+            let z_s = spmv(&sparse_db, k, "z", &w_s, false);
+            let z_d = spmv(&dense_db, k, "z", &w_d, false);
+            assert_eq!(z_s, z_d, "X·w diverged at iteration {k}, arm {}", arm.name());
+            let p: Vec<f64> = z_s.iter().map(|&z| sigmoid(z)).collect();
+            losses.push(loss(&p));
+            let resid: Vec<f64> = p.iter().zip(&y).map(|(&p, &yi)| p - yi).collect();
+            let g_s = spmv(&sparse_db, k, "g", &resid, true);
+            let g_d = spmv(&dense_db, k, "g", &resid, true);
+            assert_eq!(g_s, g_d, "Xᵀ·r diverged at iteration {k}, arm {}", arm.name());
+            for i in 0..FEATS {
+                w_s[i] -= 0.05 / ROWS as f64 * g_s[i];
+                w_d[i] -= 0.05 / ROWS as f64 * g_d[i];
+            }
         }
+        assert_eq!(w_s, w_d, "weight trajectories diverged, arm {}", arm.name());
+        assert!(
+            losses.last().unwrap() < &losses[0],
+            "loss did not decrease: {losses:?}"
+        );
     }
-    assert_eq!(w_s, w_d, "weight trajectories diverged");
-    assert!(
-        losses.last().unwrap() < &losses[0],
-        "loss did not decrease: {losses:?}"
-    );
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// Per-query dispatch attribution surfaces in EXPLAIN ANALYZE and the
 /// `la.dispatch.*` SHOW METRICS counters.
 #[test]
 fn dispatch_choices_surface_in_explain_and_metrics() {
-    let _g = mode_lock();
     let db = tile_db(
         config(
             2,
@@ -670,7 +650,6 @@ fn dispatch_choices_surface_in_explain_and_metrics() {
         true,
         0.01,
     );
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
     let out = db.execute(&format!("EXPLAIN ANALYZE {}", QUERIES[0])).unwrap();
     let lardb::database::Response::Explained(text) = out else {
         panic!("EXPLAIN ANALYZE should return Explained");
@@ -692,5 +671,76 @@ fn dispatch_choices_surface_in_explain_and_metrics() {
     let spgemm = value_of("la.dispatch.spgemm")
         .unwrap_or_else(|| panic!("la.dispatch.spgemm missing from SHOW METRICS"));
     assert!(spgemm >= 1.0, "la.dispatch.spgemm = {spgemm}");
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
+}
+
+/// Two databases with opposite forced modes run `QUERIES` from two
+/// threads at once, on the shared pool. Every query must see only its
+/// own database's mode: the rows and kernel counts of a solo run, and an
+/// EXPLAIN ANALYZE line naming its own mode.
+#[test]
+fn interleaved_databases_keep_their_own_dispatch() {
+    const ROUNDS: usize = 3;
+    let shared_pool = |mode, tag: &str| DatabaseConfig {
+        pool_workers: None,
+        ..config(4, TransportMode::Pointer, SchedulerMode::Pool, None, mode, tag)
+    };
+    let dense_db = tile_db(shared_pool(DispatchMode::Dense, "iso-dense"), false, 0.1);
+    let sparse_db = tile_db(shared_pool(DispatchMode::Sparse, "iso-sparse"), true, 0.1);
+
+    type Seen = (Vec<Vec<Value>>, DispatchCounters);
+    let seen = |r: QueryResult| -> Seen { (exact_rows(&r), r.stats.dispatch) };
+    let solo_dense: Vec<Seen> = QUERIES.iter().map(|q| seen(run(&dense_db, q))).collect();
+    let solo_sparse: Vec<Seen> = QUERIES.iter().map(|q| seen(run(&sparse_db, q))).collect();
+    for (q, ((_, d), (_, s))) in QUERIES.iter().zip(solo_dense.iter().zip(&solo_sparse)) {
+        assert_eq!((d.skipzero, d.sparse_total()), (0, 0), "forced-dense counts {d:?}: {q}");
+        assert_eq!(s.dense, 0, "forced-sparse counts {s:?}: {q}");
+    }
+    assert!(solo_dense.iter().any(|(_, d)| d.dense > 0), "dense kernels never counted");
+    assert!(solo_sparse.iter().any(|(_, s)| s.sparse_total() > 0), "sparse kernels never counted");
+
+    // Lock-step rounds so each pair of queries overlaps. Workers return
+    // results instead of panicking, so neither can strand the other at
+    // the barrier.
+    let barrier = std::sync::Barrier::new(2);
+    let drive = |db: &Database| {
+        let mut runs = Vec::new();
+        for _ in 0..ROUNDS {
+            for q in QUERIES {
+                barrier.wait();
+                runs.push(db.query(q).map(seen));
+            }
+        }
+        barrier.wait();
+        (runs, db.execute(&format!("EXPLAIN ANALYZE {}", QUERIES[0])))
+    };
+    let ((dense_runs, dense_explain), (sparse_runs, sparse_explain)) =
+        std::thread::scope(|s| {
+            let d = s.spawn(|| drive(&dense_db));
+            let sp = s.spawn(|| drive(&sparse_db));
+            (d.join().unwrap(), sp.join().unwrap())
+        });
+    for (name, runs, solo) in
+        [("dense", dense_runs, &solo_dense), ("sparse", sparse_runs, &solo_sparse)]
+    {
+        for (i, got) in runs.into_iter().enumerate() {
+            let q = QUERIES[i % QUERIES.len()];
+            let got = got.unwrap_or_else(|e| panic!("{name} query={q}: {e}"));
+            let want = &solo[i % QUERIES.len()];
+            assert!(
+                got == *want,
+                "{name} run {i} differs from solo (counts {:?} vs {:?}): {q}",
+                got.1,
+                want.1
+            );
+        }
+    }
+    for (mode, out) in [("dense", dense_explain), ("sparse", sparse_explain)] {
+        let Ok(lardb::database::Response::Explained(text)) = out else {
+            panic!("EXPLAIN ANALYZE on the {mode} database failed: {out:?}");
+        };
+        assert!(
+            text.contains(&format!("la dispatch ({mode}):")),
+            "the {mode} database's EXPLAIN ANALYZE names another mode:\n{text}"
+        );
+    }
 }

@@ -721,9 +721,7 @@ mod tests {
 
     #[test]
     fn matrix_from_entries_sums_duplicates_and_roundtrips_state() {
-        // Default mode is Adaptive; the forced-dense variant lives in the
-        // same test as the mode flip to avoid cross-test races on the
-        // process-wide dispatch mode.
+        // Outside a query dispatch is adaptive.
         let mut p1 = Accumulator::new(AggFunc::MatrixFromEntries);
         p1.update(&entry(0.0, 1.0, 2.0)).unwrap();
         p1.update(&entry(2.0, 0.0, 5.0)).unwrap();
@@ -740,13 +738,16 @@ mod tests {
         assert_eq!(m.get(2, 0).unwrap(), 5.0);
         assert_eq!(m.nnz(), 2);
 
-        // Forced-dense mode yields an ordinary MATRIX from the same input.
-        lardb_la::dispatch::set_dispatch_mode(lardb_la::DispatchMode::Dense);
+        // A forced-dense query yields an ordinary MATRIX from the same input.
+        let ctx = lardb_obs::QueryContext::new(None, lardb_la::DispatchMode::Dense);
         let mut a = Accumulator::new(AggFunc::MatrixFromEntries);
         a.update(&entry(0.0, 0.0, 1.0)).unwrap();
         a.update(&entry(3.0, 3.0, 2.0)).unwrap();
-        let out = a.finish();
-        lardb_la::dispatch::set_dispatch_mode(lardb_la::DispatchMode::Adaptive);
+        let out = {
+            let _ctx = lardb_obs::context::enter(Some(ctx.clone()));
+            a.finish()
+        };
+        assert_eq!(ctx.counts().densified, 1);
         let m = out.as_matrix().expect("forced dense yields MATRIX");
         assert_eq!(m.shape(), (4, 4));
         assert_eq!(m.get(3, 3).unwrap(), 2.0);

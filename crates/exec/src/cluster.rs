@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use lardb_obs::ActiveTrace;
+use lardb_obs::{ActiveTrace, QueryContext};
 use lardb_pool::WorkerPool;
 
 use crate::{ExecError, Result};
@@ -121,11 +121,13 @@ pub struct Cluster {
     /// executor must not re-arm an external token at query start — a kill
     /// that lands before execution begins must still abort the query.
     external_cancel: bool,
-    /// The query's flight-recorder trace, if this query is sampled.
-    /// Worker closures run under it (thread-local) and open per-morsel
-    /// spans, so leaf code — spill, governor — attributes to the query
-    /// even on pool threads it never created.
-    trace: Option<Arc<ActiveTrace>>,
+    /// The query's context: its trace (if sampled), kernel-dispatch mode
+    /// and kernel-choice counts. Worker closures run under it
+    /// (thread-local), so LA kernels dispatch and count for this query and
+    /// leaf code — spill, governor — attributes to it, even on pool
+    /// threads it never created; a traced query also gets per-morsel
+    /// spans.
+    ctx: Option<Arc<QueryContext>>,
 }
 
 impl Cluster {
@@ -140,7 +142,7 @@ impl Cluster {
             morsel_rows: DEFAULT_MORSEL_ROWS,
             cancel: CancelToken::new(),
             external_cancel: false,
-            trace: None,
+            ctx: None,
         }
     }
 
@@ -160,17 +162,19 @@ impl Cluster {
         self.external_cancel
     }
 
-    /// Attaches the query's flight-recorder trace: worker closures run
-    /// under it as the thread-local current trace and open per-morsel
-    /// spans, and exchange senders ship its id across the wire.
-    pub fn with_trace(mut self, trace: Arc<ActiveTrace>) -> Self {
-        self.trace = Some(trace);
+    /// Attaches the query's context: worker closures run under it as the
+    /// thread-local current context (opening per-morsel spans when the
+    /// query is traced), and exchange senders ship its trace id across
+    /// the wire.
+    pub fn with_context(mut self, ctx: Arc<QueryContext>) -> Self {
+        self.ctx = Some(ctx);
         self
     }
 
-    /// The query's trace, if one is attached (see [`Self::with_trace`]).
+    /// The query's trace, if its context has one (see
+    /// [`Self::with_context`]).
     pub fn trace(&self) -> Option<&Arc<ActiveTrace>> {
-        self.trace.as_ref()
+        self.ctx.as_ref().and_then(|c| c.trace())
     }
 
     /// Schedules on a dedicated pool instead of the global one.
@@ -247,27 +251,28 @@ impl Cluster {
 
     /// Wraps a work closure with the query's cancellation protocol: a
     /// cancelled query skips the work outright (morsel-boundary abort),
-    /// and any failure flips the token so siblings stop too. When the
-    /// query is traced, the closure runs under the trace (thread-local)
-    /// inside a per-morsel span, so the flight recorder sees which pool
-    /// thread ran each morsel and leaf code attributes its events.
+    /// and any failure flips the token so siblings stop too. The closure
+    /// runs under the query's context (thread-local), on whichever pool or
+    /// spawned thread picks it up, so its kernels dispatch and count for
+    /// this query; when the query is traced it also runs inside a
+    /// per-morsel span, so the flight recorder sees which thread ran each
+    /// morsel and leaf code attributes its events.
     fn guard<T, R, F>(&self, f: F) -> impl Fn(usize, T) -> Result<R> + Sync
     where
         F: Fn(usize, T) -> Result<R> + Sync,
     {
         let cancel = self.cancel.clone();
-        let trace = self.trace.clone();
+        let ctx = self.ctx.clone();
         move |i, item| {
             if cancel.is_cancelled() {
                 return Err(ExecError::Cancelled(
                     "a sibling worker failed first".into(),
                 ));
             }
-            let _cur = trace
+            let _cur = ctx.clone().map(|c| lardb_obs::context::enter(Some(c)));
+            let _span = ctx
                 .as_ref()
-                .map(|t| lardb_obs::trace::push_current(Some(t.clone())));
-            let _span = trace
-                .as_ref()
+                .and_then(|c| c.trace())
                 .map(|t| t.span("morsel", "worker").arg("partition", i.to_string()));
             let r = f(i, item);
             if let Err(e) = &r {

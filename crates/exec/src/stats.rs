@@ -173,9 +173,8 @@ impl OperatorStats {
 pub struct ExecStats {
     ops: Vec<OperatorStats>,
     /// Kernel-dispatch choices (dense vs skip-zero vs sparse kernels) made
-    /// while this query executed. Attributed by snapshotting the
-    /// process-wide dispatch counters around execution, so concurrent
-    /// queries' kernels can overlap into each other's counts.
+    /// while this query executed: the counts of the query's own context,
+    /// so exactly this query's kernels, whatever runs beside it.
     pub dispatch: lardb_la::DispatchCounters,
 }
 

@@ -1,118 +1,43 @@
 //! Density-adaptive kernel dispatch.
 //!
-//! PR 3 hardcoded one density heuristic inside `gemm.rs`: sample the left
-//! operand and take the skip-zero loop past 25% zeros. This module
-//! generalizes that into an engine-wide dispatch layer with three
-//! process-wide knobs (mirroring [`crate::gemm::set_parallel_flops`]):
+//! Multiplies pick between the branch-free dense loops, the skip-zero
+//! loops and the sparse kernels. The choice reads the [`DispatchMode`] of
+//! the running query's [`lardb_obs::QueryContext`], and every choice is
+//! counted on that context, so EXPLAIN ANALYZE and the `la.dispatch.*`
+//! metrics report exactly one query's kernels. The modes:
 //!
-//! * a [`DispatchMode`] — `dense` forces the branch-free dense loops and
-//!   densifies sparse tiles at kernel entry, `sparse` forces skip-zero /
-//!   sparse kernels, `adaptive` (default) picks per tile pair from the
-//!   sampled density;
-//! * a *sparse threshold* — the zero fraction above which adaptive
-//!   dispatch prefers skip-zero/sparse kernels (default 0.25, the PR 3
-//!   cutoff);
-//! * monotone per-kind choice counters, snapshotted by the database layer
-//!   around each query to surface per-query kernel choices in
-//!   EXPLAIN ANALYZE and `la.dispatch.*` metrics in SHOW METRICS.
+//! * `dense` forces the branch-free dense loops and densifies sparse tiles
+//!   at kernel entry;
+//! * `sparse` forces skip-zero / sparse kernels;
+//! * `adaptive` (the default, and the mode outside any query) picks per
+//!   tile pair from the sampled density against [`SPARSE_THRESHOLD`].
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use lardb_obs::context::{with_current, QueryContext};
+pub use lardb_obs::context::{DispatchCounters, DispatchMode, Kernel};
 
-/// Which kernel family multiplies get routed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Always the branch-free dense loops; sparse tiles densify first.
-    Dense,
-    /// Always skip-zero / sparse kernels.
-    Sparse,
-    /// Pick per tile pair from sampled density (the default).
-    Adaptive,
-}
+/// The zero fraction above which adaptive dispatch takes the skip-zero
+/// loop; a sparse tile densifies when `density > 1 - SPARSE_THRESHOLD`.
+pub const SPARSE_THRESHOLD: f64 = 0.25;
 
-impl DispatchMode {
-    /// Parses the CLI/env spelling (`dense` / `sparse` / `adaptive`).
-    pub fn parse(s: &str) -> Option<DispatchMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "dense" => Some(DispatchMode::Dense),
-            "sparse" => Some(DispatchMode::Sparse),
-            "adaptive" => Some(DispatchMode::Adaptive),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DispatchMode::Dense => "dense",
-            DispatchMode::Sparse => "sparse",
-            DispatchMode::Adaptive => "adaptive",
-        }
-    }
-}
-
-const MODE_DENSE: u8 = 0;
-const MODE_SPARSE: u8 = 1;
-const MODE_ADAPTIVE: u8 = 2;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_ADAPTIVE);
-
-/// Default zero-fraction cutoff — the PR 3 `SPARSE_CUTOFF`.
-pub const DEFAULT_SPARSE_THRESHOLD: f64 = 0.25;
-
-// `0.25f64.to_bits()`; spelled as a literal because `to_bits` is not
-// usable in a `static` initializer on this toolchain.
-static SPARSE_THRESHOLD_BITS: AtomicU64 = AtomicU64::new(0x3FD0000000000000);
-
-/// Sets the process-wide dispatch mode; returns the previous one.
-pub fn set_dispatch_mode(mode: DispatchMode) -> DispatchMode {
-    let raw = match mode {
-        DispatchMode::Dense => MODE_DENSE,
-        DispatchMode::Sparse => MODE_SPARSE,
-        DispatchMode::Adaptive => MODE_ADAPTIVE,
-    };
-    match MODE.swap(raw, Ordering::Relaxed) {
-        MODE_DENSE => DispatchMode::Dense,
-        MODE_SPARSE => DispatchMode::Sparse,
-        _ => DispatchMode::Adaptive,
-    }
-}
-
-/// Current process-wide dispatch mode.
-pub fn dispatch_mode() -> DispatchMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_DENSE => DispatchMode::Dense,
-        MODE_SPARSE => DispatchMode::Sparse,
-        _ => DispatchMode::Adaptive,
-    }
-}
-
-/// Sets the adaptive zero-fraction cutoff (clamped to `[0, 1]`); returns
-/// the previous value.
-pub fn set_sparse_threshold(threshold: f64) -> f64 {
-    let t = threshold.clamp(0.0, 1.0);
-    f64::from_bits(SPARSE_THRESHOLD_BITS.swap(t.to_bits(), Ordering::Relaxed))
-}
-
-/// Current adaptive zero-fraction cutoff.
-pub fn sparse_threshold() -> f64 {
-    f64::from_bits(SPARSE_THRESHOLD_BITS.load(Ordering::Relaxed))
+fn mode(ctx: Option<&QueryContext>) -> DispatchMode {
+    ctx.map_or(DispatchMode::Adaptive, QueryContext::dispatch)
 }
 
 /// Resolves one density-dispatch decision for a dense tile whose sampled
 /// zero fraction is `zero_fraction`: `true` means take the skip-zero loop.
-/// Also bumps the matching choice counter.
+/// Also counts the choice.
 pub fn choose_skip_zero(zero_fraction: f64) -> bool {
-    let skip = match dispatch_mode() {
-        DispatchMode::Dense => false,
-        DispatchMode::Sparse => true,
-        DispatchMode::Adaptive => zero_fraction > sparse_threshold(),
-    };
-    if skip {
-        COUNTERS.skipzero.fetch_add(1, Ordering::Relaxed);
-    } else {
-        COUNTERS.dense.fetch_add(1, Ordering::Relaxed);
-    }
-    skip
+    with_current(|ctx| {
+        let skip = match mode(ctx) {
+            DispatchMode::Dense => false,
+            DispatchMode::Sparse => true,
+            DispatchMode::Adaptive => zero_fraction > SPARSE_THRESHOLD,
+        };
+        if let Some(ctx) = ctx {
+            ctx.note(if skip { Kernel::SkipZero } else { Kernel::Dense });
+        }
+        skip
+    })
 }
 
 /// Whether a *sparse-typed* tile of the given stored density should stay
@@ -121,135 +46,26 @@ pub fn choose_skip_zero(zero_fraction: f64) -> bool {
 /// sees a tile dense enough that the branch-free loop wins
 /// (`density > 1 - threshold`, the mirror image of the skip-zero rule).
 pub fn keep_sparse(density: f64) -> bool {
-    match dispatch_mode() {
+    match with_current(mode) {
         DispatchMode::Dense => false,
         DispatchMode::Sparse => true,
-        DispatchMode::Adaptive => density <= 1.0 - sparse_threshold(),
+        DispatchMode::Adaptive => density <= 1.0 - SPARSE_THRESHOLD,
     }
-}
-
-/// The kernel families whose choices are counted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Sparse × dense-vector product.
-    Spmv,
-    /// Sparse × dense matrix product.
-    SpDense,
-    /// Sparse × sparse product.
-    SpGemm,
-    /// Sparse Gram (SYRK).
-    SpSyrk,
-    /// A sparse tile was densified before a dense kernel ran.
-    Densified,
 }
 
 /// Records that a sparse kernel (or a densification) ran.
 pub fn note_kernel(kernel: Kernel) {
-    let c = match kernel {
-        Kernel::Spmv => &COUNTERS.spmv,
-        Kernel::SpDense => &COUNTERS.sp_dense,
-        Kernel::SpGemm => &COUNTERS.spgemm,
-        Kernel::SpSyrk => &COUNTERS.sp_syrk,
-        Kernel::Densified => &COUNTERS.densified,
-    };
-    c.fetch_add(1, Ordering::Relaxed);
-}
-
-struct Counters {
-    dense: AtomicU64,
-    skipzero: AtomicU64,
-    spmv: AtomicU64,
-    sp_dense: AtomicU64,
-    spgemm: AtomicU64,
-    sp_syrk: AtomicU64,
-    densified: AtomicU64,
-}
-
-static COUNTERS: Counters = Counters {
-    dense: AtomicU64::new(0),
-    skipzero: AtomicU64::new(0),
-    spmv: AtomicU64::new(0),
-    sp_dense: AtomicU64::new(0),
-    spgemm: AtomicU64::new(0),
-    sp_syrk: AtomicU64::new(0),
-    densified: AtomicU64::new(0),
-};
-
-/// A monotone snapshot of every dispatch-choice counter. Subtract two
-/// snapshots to get the choices made in between (per-query attribution in
-/// EXPLAIN ANALYZE; concurrent queries overlap, which the display notes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DispatchCounters {
-    /// Branch-free dense GEMM/SYRK inner-loop choices.
-    pub dense: u64,
-    /// Skip-zero (branchy) inner-loop choices.
-    pub skipzero: u64,
-    /// SpMV kernel runs.
-    pub spmv: u64,
-    /// Sparse × dense GEMM runs.
-    pub sp_dense: u64,
-    /// SpGEMM runs.
-    pub spgemm: u64,
-    /// Sparse SYRK runs.
-    pub sp_syrk: u64,
-    /// Sparse tiles densified before a dense kernel.
-    pub densified: u64,
-}
-
-impl DispatchCounters {
-    /// Total sparse-kernel runs.
-    pub fn sparse_total(&self) -> u64 {
-        self.spmv + self.sp_dense + self.spgemm + self.sp_syrk
-    }
-
-    /// Elementwise saturating difference (`self - earlier`).
-    pub fn since(&self, earlier: &DispatchCounters) -> DispatchCounters {
-        DispatchCounters {
-            dense: self.dense.saturating_sub(earlier.dense),
-            skipzero: self.skipzero.saturating_sub(earlier.skipzero),
-            spmv: self.spmv.saturating_sub(earlier.spmv),
-            sp_dense: self.sp_dense.saturating_sub(earlier.sp_dense),
-            spgemm: self.spgemm.saturating_sub(earlier.spgemm),
-            sp_syrk: self.sp_syrk.saturating_sub(earlier.sp_syrk),
-            densified: self.densified.saturating_sub(earlier.densified),
+    with_current(|ctx| {
+        if let Some(ctx) = ctx {
+            ctx.note(kernel);
         }
-    }
-
-    /// Elementwise sum (merging multi-statement workload stats).
-    pub fn plus(&self, other: &DispatchCounters) -> DispatchCounters {
-        DispatchCounters {
-            dense: self.dense + other.dense,
-            skipzero: self.skipzero + other.skipzero,
-            spmv: self.spmv + other.spmv,
-            sp_dense: self.sp_dense + other.sp_dense,
-            spgemm: self.spgemm + other.spgemm,
-            sp_syrk: self.sp_syrk + other.sp_syrk,
-            densified: self.densified + other.densified,
-        }
-    }
-
-    /// True when any kernel choice was recorded.
-    pub fn any(&self) -> bool {
-        *self != DispatchCounters::default()
-    }
-}
-
-/// Snapshots the process-wide dispatch counters.
-pub fn dispatch_counters() -> DispatchCounters {
-    DispatchCounters {
-        dense: COUNTERS.dense.load(Ordering::Relaxed),
-        skipzero: COUNTERS.skipzero.load(Ordering::Relaxed),
-        spmv: COUNTERS.spmv.load(Ordering::Relaxed),
-        sp_dense: COUNTERS.sp_dense.load(Ordering::Relaxed),
-        spgemm: COUNTERS.spgemm.load(Ordering::Relaxed),
-        sp_syrk: COUNTERS.sp_syrk.load(Ordering::Relaxed),
-        densified: COUNTERS.densified.load(Ordering::Relaxed),
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lardb_obs::context::enter;
 
     #[test]
     fn mode_parse_roundtrip() {
@@ -262,40 +78,41 @@ mod tests {
 
     #[test]
     fn forced_modes_override_density() {
-        // Serialize against other tests touching the global mode.
-        let prev = set_dispatch_mode(DispatchMode::Dense);
-        assert!(!choose_skip_zero(1.0));
-        assert!(!keep_sparse(0.0001));
-        set_dispatch_mode(DispatchMode::Sparse);
-        assert!(choose_skip_zero(0.0));
-        assert!(keep_sparse(0.9999));
-        set_dispatch_mode(DispatchMode::Adaptive);
+        {
+            let _ctx = enter(Some(QueryContext::new(None, DispatchMode::Dense)));
+            assert!(!choose_skip_zero(1.0));
+            assert!(!keep_sparse(0.0001));
+        }
+        {
+            let _ctx = enter(Some(QueryContext::new(None, DispatchMode::Sparse)));
+            assert!(choose_skip_zero(0.0));
+            assert!(keep_sparse(0.9999));
+        }
+        // Outside a query dispatch is adaptive.
         assert!(choose_skip_zero(0.9));
         assert!(!choose_skip_zero(0.1));
         assert!(keep_sparse(0.01));
         assert!(!keep_sparse(0.9));
-        set_dispatch_mode(prev);
-    }
-
-    #[test]
-    fn threshold_clamps_and_swaps() {
-        let prev = set_sparse_threshold(0.5);
-        assert_eq!(sparse_threshold(), 0.5);
-        set_sparse_threshold(7.0);
-        assert_eq!(sparse_threshold(), 1.0);
-        set_sparse_threshold(prev);
     }
 
     #[test]
     fn counters_are_monotone_and_diffable() {
-        let before = dispatch_counters();
-        note_kernel(Kernel::Spmv);
+        let ctx = QueryContext::new(None, DispatchMode::Adaptive);
+        note_kernel(Kernel::Spmv); // outside the query: counted nowhere
+        {
+            let _ctx = enter(Some(ctx.clone()));
+            note_kernel(Kernel::Spmv);
+            note_kernel(Kernel::SpGemm);
+            note_kernel(Kernel::Densified);
+            choose_skip_zero(0.9);
+        }
         note_kernel(Kernel::SpGemm);
-        note_kernel(Kernel::Densified);
-        let delta = dispatch_counters().since(&before);
-        assert!(delta.spmv >= 1);
-        assert!(delta.spgemm >= 1);
-        assert!(delta.densified >= 1);
-        assert!(delta.sparse_total() >= 2);
+        let d = ctx.counts();
+        assert_eq!(d.spmv, 1);
+        assert_eq!(d.spgemm, 1);
+        assert_eq!(d.densified, 1);
+        assert_eq!(d.skipzero, 1);
+        assert_eq!(d.dense, 0);
+        assert_eq!(d.sparse_total(), 2);
     }
 }

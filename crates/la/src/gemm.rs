@@ -32,14 +32,12 @@
 //!   remain the oracle ([`gemm_acc_scalar`], [`syrk_t_scalar`]) and the
 //!   path everywhere else.
 //! * **Parallelism.** Above a flop-count cutoff
-//!   ([`set_parallel_flops`], default 2 M) the output is tiled into
+//!   (2 M multiply-adds) the output is tiled into
 //!   `(i-block, j-block)` cache blocks scheduled as morsels on the
 //!   process-wide [`lardb_pool`] worker pool. Each morsel owns a disjoint
 //!   block of `out` and runs the *full* `k` loop in the same block order
 //!   as the sequential kernel, so per-element accumulation order — and
 //!   therefore every output bit — is identical to a sequential run.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::{LaError, Result};
 use crate::matrix::Matrix;
@@ -54,19 +52,8 @@ const BLOCK: usize = 64;
 const PAR_BLOCK: usize = 2 * BLOCK;
 
 /// Minimum multiply-add count (`m·n·k`) before [`gemm_acc`] fans the
-/// output blocks out onto the worker pool. `0` disables parallel GEMM.
-static PARALLEL_FLOPS: AtomicUsize = AtomicUsize::new(2_000_000);
-
-/// Sets the flop-count cutoff above which GEMM/SYRK run pool-parallel
-/// (`0` keeps every multiply inline). Returns the previous value.
-pub fn set_parallel_flops(flops: usize) -> usize {
-    PARALLEL_FLOPS.swap(flops, Ordering::Relaxed)
-}
-
-/// Current pool-parallel flop cutoff (see [`set_parallel_flops`]).
-pub fn parallel_flops() -> usize {
-    PARALLEL_FLOPS.load(Ordering::Relaxed)
-}
+/// output blocks out onto the worker pool.
+const PARALLEL_FLOPS: usize = 2_000_000;
 
 /// Estimates the zero fraction of `data` from ≤ 1024 strided samples.
 pub fn zero_fraction(data: &[f64]) -> f64 {
@@ -352,10 +339,9 @@ pub fn gemm_acc_pooled(
     debug_assert_eq!(out.shape(), (m, n));
 
     let skip_zero = crate::dispatch::choose_skip_zero(zero_fraction(a.as_slice()));
-    let cutoff = parallel_flops();
     let flops = m.saturating_mul(n).saturating_mul(k);
     let job = Dense::gemm(a, b, out);
-    if cutoff > 0 && flops >= cutoff && pool.workers() > 1 && m * n > PAR_BLOCK {
+    if flops >= PARALLEL_FLOPS && pool.workers() > 1 && m * n > PAR_BLOCK {
         pool.scope(|s| {
             for ib in par_ranges(m) {
                 for jb in par_ranges(n) {
@@ -512,11 +498,10 @@ pub fn syrk_t_pooled(pool: &lardb_pool::WorkerPool, a: &Matrix) -> Matrix {
     let data = a.as_slice();
     let mut out = Matrix::zeros(n, n);
     let skip_zero = crate::dispatch::choose_skip_zero(zero_fraction(data));
-    let cutoff = parallel_flops();
     // ~half the multiplies of a full m×n×n GEMM.
     let flops = m.saturating_mul(n).saturating_mul(n) / 2;
     let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
-    if cutoff > 0 && flops >= cutoff && pool.workers() > 1 && n > PAR_BLOCK {
+    if flops >= PARALLEL_FLOPS && pool.workers() > 1 && n > PAR_BLOCK {
         pool.scope(|s| {
             for pb in par_ranges(n) {
                 // Disjoint output rows [pb.0, pb.1) per morsel.

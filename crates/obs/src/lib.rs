@@ -17,17 +17,21 @@
 //!   optimizer cost-model estimates with executor actuals per operator
 //!   (q-error), exported as hand-rolled JSON for the bench harness's
 //!   `--profile-json` output;
+//! * [`context`] — the per-query [`QueryContext`] on the running thread:
+//!   the query's trace, kernel-dispatch mode and kernel-choice counts;
 //! * [`trace`] — end-to-end query traces: per-query [`TraceId`]s
 //!   propagated through admission, lifecycle stages, pool workers,
 //!   exchange wire frames and spill files, retained by a bounded
 //!   [`FlightRecorder`] ring and exported as Chrome trace-event JSON.
 
+pub mod context;
 pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod span;
 pub mod trace;
 
+pub use context::{DispatchCounters, DispatchMode, Kernel, QueryContext};
 pub use metrics::{
     global, Counter, Gauge, Histogram, MetricKind, MetricSample, MetricsRegistry, TableSample,
 };

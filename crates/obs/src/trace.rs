@@ -13,10 +13,10 @@
 //!
 //! * an explicit handle (`Arc<ActiveTrace>`) carried by the structures
 //!   that already carry the cancel token (the executor's `Cluster`), and
-//! * a **thread-local current trace** ([`current`] / [`push_current`])
-//!   set by whoever owns a thread for the duration of a query — the
-//!   session thread, each pool worker inside a morsel, each exchange
-//!   sender/receiver thread — so leaf code (spill files, the memory
+//! * the thread's current [`crate::context::QueryContext`], which holds
+//!   the trace ([`current`]) and is installed by whoever owns a thread
+//!   for the duration of a query — the statement's thread, each pool
+//!   task, each executor morsel — so leaf code (spill files, the memory
 //!   governor) can attribute events with no API change.
 //!
 //! Completed traces land in the process-wide [`FlightRecorder`]: a
@@ -375,37 +375,12 @@ impl Drop for TraceSpan {
     }
 }
 
-// --------------------------------------------------- thread-local current
+// ------------------------------------------------------------- current
 
-thread_local! {
-    static CURRENT: std::cell::RefCell<Option<Arc<ActiveTrace>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// The trace currently attributed to this thread, if any.
+/// The trace of the query this thread is running for, if it is sampled
+/// (see [`crate::context`]).
 pub fn current() -> Option<Arc<ActiveTrace>> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Sets the thread's current trace for the guard's lifetime, restoring
-/// the previous value on drop (spans nest correctly across re-entrant
-/// executions, e.g. a virtual-table refresh inside a query).
-pub fn push_current(trace: Option<Arc<ActiveTrace>>) -> CurrentGuard {
-    let prev = CURRENT.with(|c| c.replace(trace));
-    CurrentGuard { prev }
-}
-
-/// Restores the previously-current trace when dropped.
-#[derive(Debug)]
-pub struct CurrentGuard {
-    prev: Option<Arc<ActiveTrace>>,
-}
-
-impl Drop for CurrentGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        CURRENT.with(|c| *c.borrow_mut() = prev);
-    }
+    crate::context::with_current(|c| c.and_then(|c| c.trace().cloned()))
 }
 
 // ------------------------------------------------------- completed traces
@@ -739,13 +714,14 @@ mod tests {
 
     #[test]
     fn current_trace_nests_and_restores() {
+        use crate::context::{enter, DispatchMode, QueryContext};
         assert!(current().is_none());
         let t = recorder().start_forced("SELECT 1", "test");
         {
-            let _g = push_current(Some(Arc::clone(&t)));
+            let _g = enter(Some(QueryContext::new(Some(Arc::clone(&t)), DispatchMode::Dense)));
             assert_eq!(current().unwrap().id(), t.id());
             {
-                let _inner = push_current(None);
+                let _inner = enter(Some(QueryContext::new(None, DispatchMode::Dense)));
                 assert!(current().is_none());
             }
             assert_eq!(current().unwrap().id(), t.id());

@@ -30,11 +30,12 @@
 //! The pool feeds `lardb-obs`: `pool.morsels` / `pool.steals` counters,
 //! a `pool.queue_wait_us` histogram (push-to-pop latency), and
 //! `pool.size` / `pool.utilization` gauges — all visible via
-//! `SHOW METRICS`. Tasks also carry their spawner's active query trace:
-//! a traced task records a `pool.wait` span (its own push-to-pop
-//! latency, steal flag included) and runs with the trace installed as
-//! the worker thread's current trace, so downstream spans attribute to
-//! the right query no matter which thread stole the work.
+//! `SHOW METRICS`. Tasks also carry their spawner's query context
+//! (`lardb_obs::QueryContext`) and run with it installed on the worker
+//! thread, so kernel dispatch and downstream spans attribute to the
+//! right query no matter which thread stole the work; a traced task also
+//! records a `pool.wait` span (its push-to-pop latency, steal flag
+//! included).
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -51,13 +52,13 @@ pub const POOL_WORKERS_ENV: &str = "LARDB_POOL_WORKERS";
 
 /// One queued unit of work, tagged with its submission time (for the
 /// queue-wait histogram) and home queue (to tell steals from local pops).
-/// Tasks carry the spawning thread's active query trace, so work that
-/// hops threads stays attributed to its query.
+/// Tasks carry the spawning thread's query context, so work that hops
+/// threads keeps its query's trace, kernel-dispatch mode and counts.
 struct Task {
     run: Box<dyn FnOnce() + Send>,
     pushed: Instant,
     home: usize,
-    trace: Option<Arc<lardb_obs::ActiveTrace>>,
+    ctx: Option<Arc<lardb_obs::QueryContext>>,
 }
 
 /// State shared between the pool handle and its worker threads.
@@ -119,9 +120,10 @@ impl Shared {
         None
     }
 
-    /// Runs one task, maintaining the pool metrics. A traced task runs
-    /// with its query's trace installed as this thread's current trace
-    /// (so nested spans and spill events attribute correctly), and the
+    /// Runs one task, maintaining the pool metrics. The task runs with
+    /// its query's context installed as this thread's current context
+    /// (so kernels dispatch and count for that query, and nested spans
+    /// and spill events attribute correctly). For a traced query the
     /// push-to-pop latency is recorded as a `pool.wait` span — only the
     /// pool sees the enqueue point, so this can't be measured elsewhere.
     fn run_task(&self, task: Task, stolen: bool) {
@@ -131,11 +133,7 @@ impl Shared {
         if stolen {
             self.steals.inc();
         }
-        let _cur = task
-            .trace
-            .as_ref()
-            .map(|t| lardb_obs::trace::push_current(Some(Arc::clone(t))));
-        if let Some(t) = &task.trace {
+        if let Some(t) = task.ctx.as_ref().and_then(|c| c.trace()) {
             t.record(
                 "pool.wait",
                 "pool",
@@ -146,6 +144,7 @@ impl Shared {
         }
         let busy = self.active.fetch_add(1, Ordering::SeqCst) + 1;
         self.utilization.set(busy as f64 / self.queues.len() as f64);
+        let _cur = lardb_obs::context::enter(task.ctx);
         (task.run)();
         let busy = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
         self.utilization.set(busy as f64 / self.queues.len() as f64);
@@ -355,7 +354,7 @@ impl<'env> Scope<'_, 'env> {
             run: body,
             pushed: Instant::now(),
             home,
-            trace: lardb_obs::trace::current(),
+            ctx: lardb_obs::context::current(),
         });
     }
 }
@@ -396,6 +395,31 @@ mod tests {
         })
         .unwrap();
         assert_eq!(sum.load(Ordering::SeqCst), (0..100).sum::<i64>());
+    }
+
+    #[test]
+    fn tasks_run_under_their_spawners_context() {
+        use lardb_obs::context::{enter, with_current};
+        use lardb_obs::{DispatchMode, Kernel, QueryContext};
+        let pool = WorkerPool::new(3);
+        let (a, b) = (
+            QueryContext::new(None, DispatchMode::Dense),
+            QueryContext::new(None, DispatchMode::Sparse),
+        );
+        let note = || with_current(|c| c.expect("task runs in a context").note(Kernel::Spmv));
+        pool.scope(|s| {
+            let _a = enter(Some(a.clone()));
+            for _ in 0..20 {
+                s.spawn(note);
+            }
+            let _b = enter(Some(b.clone()));
+            for _ in 0..30 {
+                s.spawn(note);
+            }
+        })
+        .unwrap();
+        assert_eq!((a.counts().spmv, b.counts().spmv), (20, 30));
+        assert!(lardb_obs::context::current().is_none());
     }
 
     #[test]

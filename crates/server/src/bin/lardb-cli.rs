@@ -403,8 +403,6 @@ fn parse_engine_flag(
         }
         "--batch-rows" => config.batch_rows = std::cmp::max(1, next_parsed(argv)),
         "--plan-cache-entries" => config.plan_cache_entries = next_parsed(argv),
-        "--gemm-par-flops" => config.gemm_parallel_flops = Some(next_parsed(argv)),
-        "--sparse-threshold" => config.sparse_threshold = Some(next_parsed(argv)),
         "--sparse-dispatch" => {
             config.sparse_dispatch = Some(
                 argv.next()
@@ -477,8 +475,8 @@ fn usage() -> ! {
          engine flags: [--workers N] [--transport pointer|serialized|tcp] \
          [--slow-ms MS] [--pool-workers N] [--morsel-rows N] \
          [--scheduler pool|spawn] [--expr-engine compiled|interpret] \
-         [--batch-rows N] [--plan-cache-entries N (0 = off)] [--gemm-par-flops N] \
-         [--sparse-threshold F (0..1)] [--sparse-dispatch dense|sparse|adaptive] \
+         [--batch-rows N] [--plan-cache-entries N (0 = off)] \
+         [--sparse-dispatch dense|sparse|adaptive] \
          [--net-timeout-ms MS] [--max-frame-bytes N] \
          [--fault-kind drop|truncate|corrupt|delay|kill] [--fault-seed N] \
          [--fault-rate-ppm N] [--fault-after N] \
