@@ -9,14 +9,18 @@
 //! codec + channel overhead the simulation otherwise abstracts away.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lardb::{DataType, Database, Partitioning, Schema, TransportMode};
+use lardb::{DataType, Database, DatabaseConfig, Partitioning, Schema, TransportMode};
 use lardb_storage::gen;
 
 const N: usize = 400;
 const WORKERS: usize = 4;
 
 fn gram_db(dims: usize, transport: TransportMode) -> Database {
-    let db = Database::new(WORKERS).with_transport(transport);
+    let db = Database::with_config(DatabaseConfig {
+        workers: WORKERS,
+        transport,
+        ..DatabaseConfig::default()
+    });
     db.create_table(
         "x_vm",
         Schema::from_pairs(&[

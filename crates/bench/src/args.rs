@@ -1,6 +1,11 @@
 //! Tiny argument parser for the harness binaries (no external deps).
+//!
+//! A binary names the harness flags it reads; engine flags come from
+//! [`lardb::KNOBS`] and set the [`DatabaseConfig`] every lardb run uses.
+//! Any other flag, including a harness flag the binary does not read, is
+//! a usage error.
 
-use lardb::{ExprEngine, TransportMode};
+use lardb::{DatabaseConfig, Knob};
 
 /// Common harness options.
 #[derive(Debug, Clone)]
@@ -11,35 +16,20 @@ pub struct Args {
     pub n_dist: usize,
     /// Dimensionalities to sweep (paper: 10, 100, 1000).
     pub dims: Vec<usize>,
-    /// Simulated workers (paper: 10 machines × 8 cores).
-    pub workers: usize,
     /// Rows per block for block-based SQL (paper: 1000).
     pub block: usize,
     /// RNG seed.
     pub seed: u64,
     /// Quick mode: tiny sizes, for smoke-testing the harness.
     pub quick: bool,
-    /// Exchange transport: `pointer` (estimated shuffle bytes),
-    /// `serialized` (wire-encoded over channels), or `tcp` (loopback
-    /// sockets).
-    pub transport: TransportMode,
     /// When set, write a machine-readable `QueryProfile` JSON (lifecycle
     /// stage timings + per-operator estimate-vs-actual records) to this
     /// path at the end of the run.
     pub profile_json: Option<String>,
-    /// Memory budget for pipeline-breaking operators, in MiB. `None` =
-    /// inherit the process default (`LARDB_MEM_BUDGET_MB` or unbounded);
-    /// `Some(0)` = explicitly unbounded; `Some(n)` = spill past `n` MiB.
-    pub mem_budget_mb: Option<u64>,
-    /// Spill directory override (default: `LARDB_SPILL_DIR` or OS temp).
-    pub spill_dir: Option<String>,
-    /// Expression engine override: `compiled` (vectorized bytecode) or
-    /// `interpret` (row-at-a-time baseline). `None` inherits the engine
-    /// default (compiled, or `LARDB_EXPR_ENGINE`).
-    pub expr_engine: Option<ExprEngine>,
-    /// Rows per column batch for the compiled engine; `None` inherits
-    /// the default (or `LARDB_BATCH_ROWS`).
-    pub batch_rows: Option<usize>,
+    /// The engine every lardb run uses: 8 workers (paper: 10 machines ×
+    /// 8 cores) and the engine defaults, then the engine flags. Baselines
+    /// read only its `workers`.
+    pub config: DatabaseConfig,
 }
 
 impl Default for Args {
@@ -48,146 +38,118 @@ impl Default for Args {
             n: 20_000,
             n_dist: 1_500,
             dims: vec![10, 100, 1000],
-            workers: 8,
             block: 1000,
             seed: 20170419, // ICDE 2017
             quick: false,
-            transport: TransportMode::Pointer,
             profile_json: None,
-            mem_budget_mb: None,
-            spill_dir: None,
-            expr_engine: None,
-            batch_rows: None,
+            config: DatabaseConfig { workers: 8, ..DatabaseConfig::default() },
         }
     }
 }
 
 impl Args {
-    /// Parses `--key value` style arguments; unknown keys abort with usage.
-    pub fn parse(argv: impl Iterator<Item = String>) -> Args {
-        let mut args = Args::default();
-        let mut it = argv.peekable();
+    /// Parses `--key value` style arguments over `self` (the binary's
+    /// defaults). `reads` names the harness flags the binary uses; any
+    /// other harness flag, an unknown flag or a bad value is an error.
+    pub fn parse(
+        mut self,
+        reads: &[&str],
+        argv: impl IntoIterator<Item = String>,
+    ) -> Result<Args, String> {
+        let mut it = argv.into_iter();
         while let Some(flag) = it.next() {
-            let mut value = |what: &str| -> String {
-                it.next().unwrap_or_else(|| {
-                    eprintln!("missing value for {what}");
-                    std::process::exit(2);
-                })
-            };
+            let knob = Knob::find(&flag).is_some();
+            if !knob && !reads.contains(&flag.as_str()) {
+                return Err(format!("this binary takes no flag {flag}; try --help"));
+            }
+            if flag == "--quick" {
+                self.quick = true;
+                continue;
+            }
+            let value = it.next().ok_or_else(|| format!("missing value for {flag}"))?;
+            if knob {
+                self.config.set(&flag, &value)?;
+                continue;
+            }
             match flag.as_str() {
-                "--n" => args.n = parse_num(&value("--n")),
-                "--n-dist" => args.n_dist = parse_num(&value("--n-dist")),
+                "--n" => self.n = parse_num(&value)?,
+                "--n-dist" => self.n_dist = parse_num(&value)?,
                 "--dims" => {
-                    args.dims = value("--dims")
-                        .split(',')
-                        .map(|s| parse_num(s.trim()))
-                        .collect();
+                    self.dims =
+                        value.split(',').map(|s| parse_num(s.trim())).collect::<Result<_, _>>()?;
                 }
-                "--workers" => args.workers = parse_num(&value("--workers")),
-                "--block" => args.block = parse_num(&value("--block")),
-                "--seed" => args.seed = parse_num(&value("--seed")) as u64,
-                "--quick" => args.quick = true,
-                "--transport" => {
-                    let v = value("--transport");
-                    args.transport = TransportMode::parse(&v).unwrap_or_else(|| {
-                        eprintln!("bad --transport '{v}' (pointer|serialized|tcp)");
-                        std::process::exit(2);
-                    });
-                }
-                "--profile-json" => args.profile_json = Some(value("--profile-json")),
-                "--mem-budget-mb" => {
-                    args.mem_budget_mb =
-                        Some(parse_num(&value("--mem-budget-mb")) as u64);
-                }
-                "--spill-dir" => args.spill_dir = Some(value("--spill-dir")),
-                "--expr-engine" => {
-                    let v = value("--expr-engine");
-                    args.expr_engine = Some(v.parse().unwrap_or_else(|_| {
-                        eprintln!("bad --expr-engine '{v}' (compiled|interpret)");
-                        std::process::exit(2);
-                    }));
-                }
-                "--batch-rows" => {
-                    args.batch_rows = Some(parse_num(&value("--batch-rows")).max(1));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: --n N --n-dist N --dims 10,100,1000 --workers W \
-                         --block B --seed S --transport pointer|serialized|tcp \
-                         --profile-json PATH --mem-budget-mb N --spill-dir PATH \
-                         --expr-engine compiled|interpret --batch-rows N \
-                         --quick"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown flag {other}; try --help");
-                    std::process::exit(2);
-                }
+                "--block" => self.block = parse_num(&value)?,
+                "--seed" => self.seed = parse_num(&value)? as u64,
+                "--profile-json" => self.profile_json = Some(value),
+                other => return Err(format!("unknown flag {other}; try --help")),
             }
         }
-        if args.quick {
-            args.n = args.n.min(2_000);
-            args.n_dist = args.n_dist.min(300);
+        if self.quick {
+            self.n = self.n.min(2_000);
+            self.n_dist = self.n_dist.min(300);
             // Clamping can merge dims (1000 → 100): keep each width once,
             // in first-seen order, so no figure prints a column twice.
-            let mut dims: Vec<usize> = Vec::with_capacity(args.dims.len());
-            for d in args.dims.iter().map(|&d| d.min(100)) {
+            let mut dims: Vec<usize> = Vec::with_capacity(self.dims.len());
+            for d in self.dims.iter().map(|&d| d.min(100)) {
                 if !dims.contains(&d) {
                     dims.push(d);
                 }
             }
-            args.dims = dims;
-            args.block = args.block.min(100);
+            self.dims = dims;
+            self.block = self.block.min(100);
         }
-        args
+        Ok(self)
     }
 
-    /// Parses from the process environment.
-    pub fn from_env() -> Args {
-        Args::parse(std::env::args().skip(1))
-    }
-
-    /// The engine knobs these args select, ready for
-    /// [`crate::platforms::run_with_opts`].
-    pub fn engine_opts(&self) -> crate::platforms::EngineOpts {
-        crate::platforms::EngineOpts {
-            transport: self.transport,
-            expr_engine: self.expr_engine,
-            batch_rows: self.batch_rows,
+    /// Parses the process arguments over `self`; prints the options and
+    /// exits 0 on `--help`, prints the error and exits 2 on a bad flag.
+    pub fn parse_env(self, reads: &[&str]) -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            eprint!("options: {}\nengine flags:\n{}", reads.join(" "), Knob::usage());
+            std::process::exit(0);
         }
+        self.parse(reads, argv).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 }
 
-fn parse_num(s: &str) -> usize {
+fn parse_num(s: &str) -> Result<usize, String> {
     // Allow 10_000 / 10k / 1m shorthands.
     let s = s.replace('_', "");
     let (mult, digits) = if let Some(d) = s.strip_suffix(['k', 'K']) {
-        (1_000usize, d.to_string())
+        (1_000usize, d)
     } else if let Some(d) = s.strip_suffix(['m', 'M']) {
-        (1_000_000usize, d.to_string())
+        (1_000_000usize, d)
     } else {
-        (1, s)
+        (1, s.as_str())
     };
-    digits.parse::<usize>().map(|v| v * mult).unwrap_or_else(|_| {
-        eprintln!("bad numeric argument '{digits}'");
-        std::process::exit(2);
-    })
+    digits.parse::<usize>().map(|v| v * mult).map_err(|_| format!("bad numeric argument '{s}'"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lardb::{ExprEngine, TransportMode};
+
+    const ALL: [&str; 7] =
+        ["--n", "--n-dist", "--dims", "--block", "--seed", "--quick", "--profile-json"];
+
+    fn try_parse(v: &[&str]) -> Result<Args, String> {
+        Args::default().parse(&ALL, v.iter().map(|s| s.to_string()))
+    }
 
     fn parse(v: &[&str]) -> Args {
-        Args::parse(v.iter().map(|s| s.to_string()))
+        try_parse(v).unwrap()
     }
 
     #[test]
     fn defaults() {
         let a = parse(&[]);
         assert_eq!(a.dims, vec![10, 100, 1000]);
-        assert_eq!(a.workers, 8);
+        assert_eq!(a.config.workers, 8);
     }
 
     #[test]
@@ -195,18 +157,21 @@ mod tests {
         let a = parse(&["--n", "5k", "--dims", "10,50", "--workers", "4", "--seed", "7"]);
         assert_eq!(a.n, 5000);
         assert_eq!(a.dims, vec![10, 50]);
-        assert_eq!(a.workers, 4);
+        assert_eq!(a.config.workers, 4);
         assert_eq!(a.seed, 7);
+        assert!(try_parse(&["--n", "lots"]).is_err());
+        assert!(try_parse(&["--n"]).is_err());
     }
 
     #[test]
     fn transport_flag() {
-        assert_eq!(parse(&[]).transport, TransportMode::Pointer);
+        assert_eq!(parse(&[]).config.transport, TransportMode::Pointer);
         assert_eq!(
-            parse(&["--transport", "serialized"]).transport,
+            parse(&["--transport", "serialized"]).config.transport,
             TransportMode::Serialized
         );
-        assert_eq!(parse(&["--transport", "TCP"]).transport, TransportMode::Tcp);
+        assert_eq!(parse(&["--transport", "TCP"]).config.transport, TransportMode::Tcp);
+        assert!(try_parse(&["--transport", "udp"]).is_err());
     }
 
     #[test]
@@ -216,33 +181,34 @@ mod tests {
             parse(&["--profile-json", "out.json"]).profile_json,
             Some("out.json".to_string())
         );
+        // A binary that writes no profile rejects the flag.
+        let fig1 = ["--n", "--dims", "--block", "--seed", "--quick"];
+        let argv = ["--profile-json", "out.json"].map(String::from);
+        assert!(Args::default().parse(&fig1, argv).is_err());
     }
 
     #[test]
     fn memory_flags() {
         let a = parse(&[]);
-        assert_eq!(a.mem_budget_mb, None);
-        assert_eq!(a.spill_dir, None);
+        assert_eq!(a.config.mem, None);
+        assert_eq!(a.config.spill_dir, None);
         let a = parse(&["--mem-budget-mb", "64", "--spill-dir", "/tmp/sp"]);
-        assert_eq!(a.mem_budget_mb, Some(64));
-        assert_eq!(a.spill_dir, Some("/tmp/sp".to_string()));
+        assert_eq!(a.config.mem, Some(64));
+        assert_eq!(a.config.spill_dir, Some("/tmp/sp".into()));
     }
 
     #[test]
     fn engine_flags() {
-        let a = parse(&[]);
-        assert_eq!(a.expr_engine, None);
-        assert_eq!(a.batch_rows, None);
         let a = parse(&["--expr-engine", "interpret", "--batch-rows", "512"]);
-        assert_eq!(a.expr_engine, Some(ExprEngine::Interpret));
-        assert_eq!(a.batch_rows, Some(512));
-        let opts = a.engine_opts();
-        assert_eq!(opts.expr_engine, Some(ExprEngine::Interpret));
-        assert_eq!(opts.batch_rows, Some(512));
+        assert_eq!(a.config.expr_engine, ExprEngine::Interpret);
+        assert_eq!(a.config.batch_rows, 512);
         assert_eq!(
-            parse(&["--expr-engine", "compiled"]).expr_engine,
-            Some(ExprEngine::Compiled)
+            parse(&["--expr-engine", "compiled"]).config.expr_engine,
+            ExprEngine::Compiled
         );
+        assert!(try_parse(&["--workers", "0"]).is_err());
+        assert!(try_parse(&["--batch-rows", "0"]).is_err());
+        assert!(try_parse(&["--no-such-flag", "1"]).is_err());
     }
 
     #[test]

@@ -4,36 +4,13 @@
 //! cargo run --release -p lardb-bench --bin fig1_gram [-- --n 20k --dims 10,100,1000 --workers 8]
 //! ```
 
-use lardb_bench::{platforms, print_figure_table, Args, Workload, ALL_PLATFORMS};
+use lardb_bench::{figure, Args, Workload};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::default().parse_env(&["--n", "--dims", "--block", "--seed", "--quick"]);
     println!(
         "Figure 1: Gram matrix (n = {}, workers = {}, block = {}, seed = {})",
-        args.n, args.workers, args.block, args.seed
+        args.n, args.config.workers, args.block, args.seed
     );
-    let rows: Vec<_> = ALL_PLATFORMS
-        .iter()
-        .map(|&p| {
-            let outcomes: Vec<_> = args
-                .dims
-                .iter()
-                .map(|&d| {
-                    eprintln!("running {:?} at {d} dims …", p);
-                    platforms::run_with_opts(
-                        p,
-                        Workload::Gram,
-                        args.n,
-                        d,
-                        args.block,
-                        args.workers,
-                        args.seed,
-                        args.engine_opts(),
-                    )
-                })
-                .collect();
-            (p, outcomes)
-        })
-        .collect();
-    print_figure_table("Gram Matrix Computation", &args.dims, &rows);
+    figure("Gram Matrix Computation", Workload::Gram, args.n, args.block, &args);
 }

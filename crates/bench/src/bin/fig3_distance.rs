@@ -11,38 +11,16 @@
 //! cargo run --release -p lardb-bench --bin fig3_distance [-- --n-dist 1500 --dims 10,100,1000]
 //! ```
 
-use lardb_bench::{platforms, print_figure_table, Args, Workload, ALL_PLATFORMS};
+use lardb_bench::{figure, Args, Workload};
 
 fn main() {
-    let args = Args::from_env();
+    let args =
+        Args::default().parse_env(&["--n-dist", "--dims", "--block", "--seed", "--quick"]);
     // Ensure several blocks exist even at laptop scale.
     let block = args.block.min((args.n_dist / 8).max(1));
     println!(
         "Figure 3: Distance computation (n = {}, workers = {}, block = {block}, seed = {})",
-        args.n_dist, args.workers, args.seed
+        args.n_dist, args.config.workers, args.seed
     );
-    let rows: Vec<_> = ALL_PLATFORMS
-        .iter()
-        .map(|&p| {
-            let outcomes: Vec<_> = args
-                .dims
-                .iter()
-                .map(|&d| {
-                    eprintln!("running {:?} at {d} dims …", p);
-                    platforms::run_with_opts(
-                        p,
-                        Workload::Distance,
-                        args.n_dist,
-                        d,
-                        block,
-                        args.workers,
-                        args.seed,
-                        args.engine_opts(),
-                    )
-                })
-                .collect();
-            (p, outcomes)
-        })
-        .collect();
-    print_figure_table("Distance Computation", &args.dims, &rows);
+    figure("Distance Computation", Workload::Distance, args.n_dist, block, &args);
 }

@@ -60,12 +60,7 @@ const ABLATION_QUERY: &str = "SELECT id FROM points \
         OR (a - 5100.0) * (a - 5100.0) + (b - -12.0) * (b - -12.0) < 2500.0";
 
 fn ablation_db(engine: ExprEngine, args: &Args) -> Database {
-    let db = Database::with_config(DatabaseConfig {
-        workers: args.workers,
-        expr_engine: engine,
-        batch_rows: args.batch_rows.unwrap_or_else(|| DatabaseConfig::default().batch_rows),
-        ..DatabaseConfig::default()
-    });
+    let db = Database::with_config(DatabaseConfig { expr_engine: engine, ..args.config.clone() });
     db.create_table(
         "points",
         Schema::from_pairs(&[
@@ -108,31 +103,22 @@ fn filter_segment_ms(db: &Database, runs: usize) -> f64 {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::default()
+        .parse_env(&["--n", "--dims", "--block", "--seed", "--quick", "--profile-json"]);
     // Figure 4 used 1000-dimensional data on a five-machine cluster; the
     // default here uses the sweep's largest dims value.
     let dims = args.dims.iter().copied().max().unwrap_or(100);
-    let engine = args
-        .expr_engine
-        .map(|e| format!(", engine = {e}"))
-        .unwrap_or_default();
     println!(
-        "Figure 4: Gram computation per-operation breakdown (n = {}, dims = {dims}, workers = {}{engine})",
-        args.n, args.workers
+        "Figure 4: Gram computation per-operation breakdown \
+         (n = {}, dims = {dims}, workers = {}, engine = {})",
+        args.n, args.config.workers, args.config.expr_engine
     );
 
     // (platform label, QueryProfile JSON) pairs for --profile-json.
     let mut profiles: Vec<(String, String)> = Vec::new();
     for platform in [Platform::TupleSimSql, Platform::VectorSimSql] {
-        let out = platforms::run_with_opts(
-            platform,
-            Workload::Gram,
-            args.n,
-            dims,
-            args.block,
-            args.workers,
-            args.seed,
-            args.engine_opts(),
+        let out = platforms::run(
+            platform, Workload::Gram, args.n, dims, args.block, args.seed, &args.config,
         );
         let Some(total) = out.duration else {
             println!("\n{}: Fail ({:?})", platform.label(), out.note);

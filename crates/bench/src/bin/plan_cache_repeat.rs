@@ -14,9 +14,7 @@
 //! cargo run --release -p lardb-bench --bin plan_cache_repeat [-- --quick]
 //! ```
 
-use lardb::{
-    DataType, Database, DatabaseConfig, Partitioning, QueryProfile, Row, Schema, Value,
-};
+use lardb::{DataType, Database, Partitioning, QueryProfile, Row, Schema, Value};
 use lardb_bench::Args;
 
 /// Warm repeats per query after the cold seeding run.
@@ -29,13 +27,7 @@ const QUERIES: &[&str] = &[
 ];
 
 fn build_db(args: &Args) -> Database {
-    // Pin the capacity: the ablation asserts hit counts, so it must not
-    // inherit a `LARDB_PLAN_CACHE` override from the environment.
-    let db = Database::with_config(DatabaseConfig {
-        workers: args.workers,
-        plan_cache_entries: 256,
-        ..DatabaseConfig::default()
-    });
+    let db = Database::with_config(args.config.clone());
     db.create_table(
         "facts",
         Schema::from_pairs(&[
@@ -85,11 +77,16 @@ fn json_escape(s: &str) -> String {
 }
 
 fn main() {
-    let args = Args::from_env();
+    // Pin the default capacity: the ablation asserts hit counts, so it
+    // must not inherit a plan-cache override from the environment (the
+    // flag still sets it).
+    let mut defaults = Args::default();
+    defaults.config.plan_cache_entries = 256;
+    let args = defaults.parse_env(&["--n", "--quick", "--profile-json"]);
     let db = build_db(&args);
     println!(
         "plan-cache repeat-query ablation: {} rows, {} workers, {} warm runs\n",
-        args.n, args.workers, WARM_RUNS
+        args.n, args.config.workers, WARM_RUNS
     );
 
     let mut runs_json = Vec::new();

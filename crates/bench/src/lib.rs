@@ -25,4 +25,4 @@ pub mod report;
 
 pub use args::Args;
 pub use platforms::{Platform, RunOutcome, Workload, ALL_PLATFORMS};
-pub use report::{format_duration, print_figure_table};
+pub use report::{figure, format_duration};

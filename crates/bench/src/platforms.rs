@@ -3,8 +3,8 @@
 use std::time::{Duration, Instant};
 
 use lardb::{
-    DataType, Database, ExecStats, ExprEngine, Matrix, Partitioning, QueryProfile, Row,
-    Schema, TransportMode, Value,
+    DataType, Database, DatabaseConfig, ExecStats, Matrix, Partitioning, QueryProfile, Row,
+    Schema, Value,
 };
 use lardb_baselines::{scidb_like, spark_like, systemml_like, WorkloadData};
 use lardb_storage::gen;
@@ -93,74 +93,23 @@ impl RunOutcome {
 /// set of the exchanged tuple streams well inside a 16 GB machine.
 const TUPLE_ROW_BUDGET: usize = 40_000_000;
 
-/// Runs one cell of Figures 1–3 with the default (pointer) transport.
+/// Runs one cell of Figures 1–3. The lardb platforms run under `config`;
+/// the baselines have neither exchanges nor SQL expressions and read only
+/// its `workers`.
 pub fn run(
     platform: Platform,
     workload: Workload,
     n: usize,
     dims: usize,
     block: usize,
-    workers: usize,
     seed: u64,
-) -> RunOutcome {
-    run_with_transport(
-        platform,
-        workload,
-        n,
-        dims,
-        block,
-        workers,
-        seed,
-        TransportMode::Pointer,
-    )
-}
-
-/// Engine knobs shared by the lardb platforms. Baselines ignore them —
-/// they have neither exchange operators nor SQL expressions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineOpts {
-    /// Exchange transport for boundary-crossing batches.
-    pub transport: TransportMode,
-    /// Expression engine override; `None` inherits the database default
-    /// (compiled, or `LARDB_EXPR_ENGINE`).
-    pub expr_engine: Option<ExprEngine>,
-    /// Rows per column batch override; `None` inherits the default.
-    pub batch_rows: Option<usize>,
-}
-
-/// Runs one cell of Figures 1–3 under an explicit exchange transport.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_transport(
-    platform: Platform,
-    workload: Workload,
-    n: usize,
-    dims: usize,
-    block: usize,
-    workers: usize,
-    seed: u64,
-    transport: TransportMode,
-) -> RunOutcome {
-    let opts = EngineOpts { transport, ..EngineOpts::default() };
-    run_with_opts(platform, workload, n, dims, block, workers, seed, opts)
-}
-
-/// Runs one cell of Figures 1–3 under explicit engine options.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_opts(
-    platform: Platform,
-    workload: Workload,
-    n: usize,
-    dims: usize,
-    block: usize,
-    workers: usize,
-    seed: u64,
-    opts: EngineOpts,
+    config: &DatabaseConfig,
 ) -> RunOutcome {
     match platform {
         Platform::TupleSimSql | Platform::VectorSimSql | Platform::BlockSimSql => {
-            run_lardb(platform, workload, n, dims, block, workers, seed, opts)
+            run_lardb(platform, workload, n, dims, block, seed, config)
         }
-        _ => run_baseline(platform, workload, n, dims, block, workers, seed),
+        _ => run_baseline(platform, workload, n, dims, block, config.workers, seed),
     }
 }
 
@@ -234,16 +183,14 @@ fn run_baseline(
 
 // ----------------------------------------------------------------- lardb
 
-#[allow(clippy::too_many_arguments)]
 fn run_lardb(
     platform: Platform,
     workload: Workload,
     n: usize,
     dims: usize,
     block: usize,
-    workers: usize,
     seed: u64,
-    opts: EngineOpts,
+    config: &DatabaseConfig,
 ) -> RunOutcome {
     // Budget check for tuple-based plans; rerun at reduced n when needed.
     let (n_used, note) = if platform == Platform::TupleSimSql {
@@ -252,13 +199,7 @@ fn run_lardb(
         (n, None)
     };
 
-    let mut db = Database::new(workers).with_transport(opts.transport);
-    if let Some(engine) = opts.expr_engine {
-        db = db.with_expr_engine(engine);
-    }
-    if let Some(rows) = opts.batch_rows {
-        db = db.with_batch_rows(rows);
-    }
+    let db = Database::with_config(config.clone());
     load_lardb_data(&db, platform, workload, n_used, dims, block, seed);
 
     let result = match (platform, workload) {
@@ -603,13 +544,15 @@ pub fn load_label_table(db: &Database, dims: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lardb::TransportMode;
 
     #[test]
     fn all_cells_run_at_toy_scale() {
         for platform in ALL_PLATFORMS {
             for workload in [Workload::Gram, Workload::Regression, Workload::Distance] {
                 let n = if workload == Workload::Distance { 24 } else { 40 };
-                let out = run(platform, workload, n, 4, 8, 2, 99);
+                let config = DatabaseConfig { workers: 2, ..DatabaseConfig::default() };
+                let out = run(platform, workload, n, 4, 8, 99, &config);
                 assert!(
                     out.duration.is_some(),
                     "{platform:?}/{workload:?} failed: {:?}",
@@ -622,16 +565,8 @@ mod tests {
     #[test]
     fn lardb_cells_run_under_every_transport() {
         for transport in TransportMode::ALL {
-            let out = run_with_transport(
-                Platform::VectorSimSql,
-                Workload::Gram,
-                40,
-                4,
-                8,
-                2,
-                99,
-                transport,
-            );
+            let config = DatabaseConfig { workers: 2, transport, ..DatabaseConfig::default() };
+            let out = run(Platform::VectorSimSql, Workload::Gram, 40, 4, 8, 99, &config);
             assert!(out.duration.is_some(), "{transport:?} failed: {:?}", out.note);
             let stats = out.stats.expect("lardb platforms report stats");
             if transport.is_serialized() {
@@ -643,6 +578,21 @@ mod tests {
                 assert_eq!(stats.total_frames(), 0);
             }
         }
+    }
+
+    #[test]
+    fn lardb_cells_run_under_the_memory_budget() {
+        let dir = std::env::temp_dir().join(format!("lardb-bench-spill-{}", std::process::id()));
+        let config = DatabaseConfig {
+            workers: 2,
+            mem: Some(1),
+            spill_dir: Some(dir.clone()),
+            ..DatabaseConfig::default()
+        };
+        let out = run(Platform::TupleSimSql, Workload::Gram, 3000, 10, 8, 99, &config);
+        let stats = out.stats.expect("lardb platforms report stats");
+        assert!(stats.total_spill_bytes() > 0, "a 1 MiB budget must spill");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use std::time::Duration;
 
-use crate::platforms::{Platform, RunOutcome};
+use crate::platforms::{self, Platform, RunOutcome, Workload, ALL_PLATFORMS};
+use crate::Args;
 
 /// Formats a duration the way the paper's tables do (`HH:MM:SS`), with
 /// millisecond precision appended for sub-second laptop-scale runs.
@@ -16,8 +17,28 @@ pub fn format_duration(d: Duration) -> String {
     }
 }
 
+/// Runs `workload` with `n` points on all six platforms at each of
+/// `args.dims` and prints the figure's table.
+pub fn figure(title: &str, workload: Workload, n: usize, block: usize, args: &Args) {
+    let rows: Vec<_> = ALL_PLATFORMS
+        .iter()
+        .map(|&p| {
+            let outcomes = args
+                .dims
+                .iter()
+                .map(|&d| {
+                    eprintln!("running {p:?} at {d} dims …");
+                    platforms::run(p, workload, n, d, block, args.seed, &args.config)
+                })
+                .collect();
+            (p, outcomes)
+        })
+        .collect();
+    print_figure_table(title, &args.dims, &rows);
+}
+
 /// Prints one of the paper's Figure 1–3 tables: platforms × dims.
-pub fn print_figure_table(
+fn print_figure_table(
     title: &str,
     dims: &[usize],
     rows: &[(Platform, Vec<RunOutcome>)],

@@ -5,10 +5,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use lardb_exec::{
-    CancelToken, Cluster, ExecStats, Executor, MemoryConfig, NetConfig, SchedulerMode,
-    TransportMode,
-};
+use lardb_exec::{CancelToken, Cluster, ExecStats, Executor, MemoryConfig};
 use lardb_pool::WorkerPool;
 use lardb_obs::context::ContextGuard;
 use lardb_obs::{ActiveTrace, DispatchMode, OperatorProfile, QueryContext, QueryProfile, Stage};
@@ -20,131 +17,13 @@ use lardb_storage::{
     Catalog, DataType, MatViewDef, Partitioning, Row, Schema, Table, Value,
 };
 
+use crate::config::DatabaseConfig;
 use crate::error::{EngineError, Result};
 use crate::plan_cache::{
     normalize, CacheStats, InvalidationReason, NormalizedStatement, PlanCache,
-    StatementKind, DEFAULT_PLAN_CACHE_ENTRIES,
+    StatementKind,
 };
 use crate::sessions::SessionRegistry;
-
-/// Engine configuration.
-#[derive(Debug, Clone)]
-pub struct DatabaseConfig {
-    /// Number of simulated shared-nothing workers (the paper used 10
-    /// machines × 8 cores).
-    pub workers: usize,
-    /// Optimizer switches (size inference, early projection, DP budget).
-    pub optimizer: OptimizerConfig,
-    /// How exchange operators move batches between workers: `Pointer`
-    /// (in-memory hand-off, estimated bytes), `Serialized` (wire-encoded
-    /// over bounded channels, actual bytes), or `Tcp` (wire-encoded over
-    /// loopback sockets).
-    pub transport: TransportMode,
-    /// Slow-query log threshold in milliseconds. Statements that take at
-    /// least this long are reported on stderr and counted under the
-    /// `db.slow_queries` metric. `None` (the default) disables the log.
-    pub slow_query_ms: Option<f64>,
-    /// Threads in the persistent worker pool that executes morsels.
-    /// `None` (the default) shares the process-wide pool (sized from
-    /// `LARDB_POOL_WORKERS` or the machine's core count); `Some(n)` gives
-    /// this database a dedicated pool of `n` threads, created once and
-    /// reused by every query.
-    pub pool_workers: Option<usize>,
-    /// Rows per scheduled morsel (default
-    /// [`lardb_exec::DEFAULT_MORSEL_ROWS`]). Smaller morsels balance skew
-    /// better; larger ones amortize scheduling further.
-    pub morsel_rows: usize,
-    /// Scheduling strategy: morsel-driven pool (default) or the
-    /// one-thread-per-partition-per-operator spawn baseline.
-    pub scheduler: SchedulerMode,
-    /// Kernel-dispatch mode of this database's queries: `Adaptive` (the
-    /// default, also for `None`) picks dense or sparse kernels per tile by
-    /// measured density; `Dense` / `Sparse` force one representation
-    /// everywhere (the sparse ≡ dense differential oracle). Each query
-    /// carries it in its own context, so databases with different modes
-    /// can run side by side.
-    pub sparse_dispatch: Option<DispatchMode>,
-    /// Network-layer knobs for serialized/TCP exchanges: I/O timeouts, the
-    /// maximum accepted frame size, and an optional deterministic fault
-    /// injection plan (see `lardb_exec::FaultPlan`) for chaos testing.
-    pub net: NetConfig,
-    /// Memory budget for pipeline-breaking operators, in MiB. `None`
-    /// (the default) shares the process-wide governor sized from
-    /// `LARDB_MEM_BUDGET_MB` (unset ⇒ unbounded); `Some(0)` gives this
-    /// database a dedicated *unbounded* governor; `Some(n)` gives it a
-    /// dedicated `n`-MiB governor. When a hash join or grouped aggregate
-    /// cannot reserve its working set it spills partitions to disk and
-    /// finishes out-of-core (see `lardb_buf`).
-    pub mem: Option<u64>,
-    /// Directory for spill files. `None` (the default) uses
-    /// `LARDB_SPILL_DIR`, falling back to the OS temp dir. Spill files
-    /// are removed as soon as they are drained (and on abort).
-    pub spill_dir: Option<std::path::PathBuf>,
-    /// Directory where each completed query trace is written as Chrome
-    /// trace-event JSON (`trace-<id>.json`, loadable in Perfetto /
-    /// `chrome://tracing`). `None` (the default) keeps traces only in the
-    /// in-memory flight recorder.
-    pub trace_dir: Option<std::path::PathBuf>,
-    /// Trace 1 of every `n` queries. `None` leaves the process-wide
-    /// flight-recorder sampling untouched (default: every query);
-    /// `Some(0)` disables tracing entirely.
-    pub trace_sample: Option<u64>,
-    /// Completed-trace ring capacity. `None` leaves the process-wide
-    /// setting untouched (default 256, or `LARDB_TRACE_CAPACITY`).
-    pub trace_capacity: Option<usize>,
-    /// Expression engine for scan→filter→project→aggregate pipelines:
-    /// `Compiled` (the default) pivots morsels into column batches and
-    /// evaluates register bytecode with fused vectorized kernels, falling
-    /// back to the row interpreter per chunk on any kernel error;
-    /// `Interpret` keeps the row-at-a-time tree walker (the ablation
-    /// baseline). Defaults honor `LARDB_EXPR_ENGINE`.
-    pub expr_engine: lardb_exec::ExprEngine,
-    /// Rows per column batch in the compiled engine (default
-    /// [`lardb_exec::DEFAULT_BATCH_ROWS`]; env `LARDB_BATCH_ROWS`).
-    /// Smaller batches stay cache-resident; larger ones amortize the
-    /// pivot and dispatch further.
-    pub batch_rows: usize,
-    /// Capacity of the normalized plan cache in entries (default
-    /// [`crate::plan_cache::DEFAULT_PLAN_CACHE_ENTRIES`]; env
-    /// `LARDB_PLAN_CACHE`). Repeat SELECTs whose shape, literals, catalog
-    /// version and optimizer knobs all match a cached entry skip
-    /// parse/bind/optimize entirely. `0` disables caching.
-    pub plan_cache_entries: usize,
-}
-
-impl Default for DatabaseConfig {
-    fn default() -> Self {
-        DatabaseConfig {
-            workers: 4,
-            optimizer: OptimizerConfig::default(),
-            transport: TransportMode::Pointer,
-            slow_query_ms: None,
-            pool_workers: None,
-            morsel_rows: lardb_exec::DEFAULT_MORSEL_ROWS,
-            scheduler: SchedulerMode::default(),
-            sparse_dispatch: None,
-            net: NetConfig::default(),
-            mem: None,
-            spill_dir: None,
-            trace_dir: None,
-            trace_sample: None,
-            trace_capacity: None,
-            expr_engine: std::env::var("LARDB_EXPR_ENGINE")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_default(),
-            batch_rows: std::env::var("LARDB_BATCH_ROWS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&n: &usize| n > 0)
-                .unwrap_or(lardb_exec::DEFAULT_BATCH_ROWS),
-            plan_cache_entries: std::env::var("LARDB_PLAN_CACHE")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(DEFAULT_PLAN_CACHE_ENTRIES),
-        }
-    }
-}
 
 /// The outcome of a gathered query.
 #[derive(Debug)]
@@ -265,19 +144,6 @@ impl Database {
 
     /// A database with explicit configuration.
     pub fn with_config(config: DatabaseConfig) -> Self {
-        // Flight-recorder knobs are process-global (one ring per
-        // process): applied once at construction.
-        match config.trace_sample {
-            Some(0) => lardb_obs::recorder().set_enabled(false),
-            Some(n) => {
-                lardb_obs::recorder().set_enabled(true);
-                lardb_obs::recorder().set_sample_every(n);
-            }
-            None => {}
-        }
-        if let Some(cap) = config.trace_capacity {
-            lardb_obs::recorder().set_capacity(cap);
-        }
         let pool = config.pool_workers.map(|n| Arc::new(WorkerPool::new(n)));
         let mem = match config.mem {
             None => match &config.spill_dir {
@@ -374,43 +240,6 @@ impl Database {
         self.config.workers
     }
 
-    /// Sets the exchange transport mode (builder style). `Serialized` and
-    /// `Tcp` encode every boundary-crossing batch through the `lardb-net`
-    /// wire codec and meter actual encoded bytes.
-    pub fn with_transport(mut self, transport: TransportMode) -> Self {
-        self.config.transport = transport;
-        self
-    }
-
-    /// Mutates the exchange transport mode in place.
-    pub fn set_transport(&mut self, transport: TransportMode) {
-        self.config.transport = transport;
-    }
-
-    /// The configured exchange transport mode.
-    pub fn transport(&self) -> TransportMode {
-        self.config.transport
-    }
-
-    /// Sets the expression engine (builder style): `Compiled` vectorized
-    /// bytecode over column batches (the default) or the `Interpret`
-    /// row-at-a-time baseline — the `expr_engine` ablation axis.
-    pub fn with_expr_engine(mut self, engine: lardb_exec::ExprEngine) -> Self {
-        self.config.expr_engine = engine;
-        self
-    }
-
-    /// The configured expression engine.
-    pub fn expr_engine(&self) -> lardb_exec::ExprEngine {
-        self.config.expr_engine
-    }
-
-    /// Sets the compiled engine's rows-per-column-batch (builder style).
-    pub fn with_batch_rows(mut self, rows: usize) -> Self {
-        self.config.batch_rows = rows.max(1);
-        self
-    }
-
     /// Mutates the optimizer configuration (ablation benchmarks flip
     /// [`OptimizerConfig::size_inference`] here). Counts a config
     /// invalidation on the plan cache; the knobs are also part of every
@@ -444,14 +273,6 @@ impl Database {
     /// running concurrently don't see each other's traffic.
     pub fn plan_cache_stats(&self) -> CacheStats {
         self.plan_cache.stats()
-    }
-
-    /// Enables the slow-query log (builder style): statements taking at
-    /// least `ms` milliseconds are reported on stderr and counted under
-    /// the `db.slow_queries` metric.
-    pub fn with_slow_query_threshold(mut self, ms: f64) -> Self {
-        self.config.slow_query_ms = Some(ms);
-        self
     }
 
     /// The [`QueryProfile`] of the most recent statement that ran a plan
@@ -1665,7 +1486,11 @@ mod tests {
     fn slow_query_log_counts_slow_statements() {
         let registry = lardb_obs::global();
         let before = registry.counter("db.slow_queries").get();
-        let db = Database::new(2).with_slow_query_threshold(0.0);
+        let db = Database::with_config(DatabaseConfig {
+            workers: 2,
+            slow_query_ms: Some(0.0),
+            ..DatabaseConfig::default()
+        });
         db.execute("CREATE TABLE t (id INTEGER)").unwrap();
         assert!(registry.counter("db.slow_queries").get() > before);
     }

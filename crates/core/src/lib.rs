@@ -32,13 +32,15 @@
 //! [`Vector`], [`Matrix`], [`Value`], [`Row`], [`DataType`],
 //! [`Partitioning`], plus the planner/executor layers for advanced use.
 
+pub mod config;
 pub mod database;
 pub mod error;
 mod matview;
 pub mod plan_cache;
 pub mod sessions;
 
-pub use database::{Database, DatabaseConfig, PreparedStatement, QueryResult, Response, Stmt};
+pub use config::{DatabaseConfig, Knob, KNOBS};
+pub use database::{Database, PreparedStatement, QueryResult, Response, Stmt};
 pub use error::{EngineError, Result};
 pub use plan_cache::{CacheStats, InvalidationReason, PlanCache};
 pub use sessions::{SessionRegistry, SessionSnapshot};

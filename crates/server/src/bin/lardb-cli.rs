@@ -23,18 +23,20 @@
 use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
-use lardb::{
-    Database, DatabaseConfig, DispatchMode, FaultKind, FaultPlan, Response,
-    SchedulerMode, TransportMode,
-};
+use lardb::{Database, DatabaseConfig, FaultKind, FaultPlan, Knob, Response};
 use lardb_server::{Client, QueryOutput, Server, ServerConfig, ServerError};
 
+/// Flags shared by the shell and `serve` that are not `DatabaseConfig`
+/// knobs: the fault plan (its four flags are validated together) and the
+/// process-wide flight recorder.
 #[derive(Default)]
-struct FaultArgs {
+struct ProcessArgs {
     kind: Option<FaultKind>,
-    seed: u64,
+    seed: Option<u64>,
     rate_ppm: Option<u32>,
     after: Option<u64>,
+    trace_sample: Option<u64>,
+    trace_capacity: Option<usize>,
 }
 
 fn main() {
@@ -50,7 +52,7 @@ fn main() {
 
 fn serve_main(args: &[String]) {
     let mut config = DatabaseConfig::default();
-    let mut faults = FaultArgs { seed: 42, ..FaultArgs::default() };
+    let mut process = ProcessArgs::default();
     let mut server_cfg = ServerConfig::default();
     let mut host = "127.0.0.1".to_string();
     let mut port: u16 = 5433;
@@ -58,7 +60,7 @@ fn serve_main(args: &[String]) {
 
     let mut argv = args.iter().cloned();
     while let Some(flag) = argv.next() {
-        if parse_engine_flag(&flag, &mut argv, &mut config, &mut faults) {
+        if shared_flag(&flag, &mut argv, &mut config, &mut process) {
             continue;
         }
         match flag.as_str() {
@@ -78,7 +80,7 @@ fn serve_main(args: &[String]) {
             _ => usage(),
         }
     }
-    arm_faults(&mut config, &faults);
+    process.apply(&mut config);
     server_cfg.addr = format!("{host}:{port}");
 
     let db = Database::with_config(config);
@@ -123,7 +125,7 @@ fn serve_main(args: &[String]) {
 
 fn shell_main(args: &[String]) {
     let mut config = DatabaseConfig::default();
-    let mut faults = FaultArgs { seed: 42, ..FaultArgs::default() };
+    let mut process = ProcessArgs::default();
     let mut connect: Option<String> = None;
     let mut tenant = String::new();
     let mut auth = String::new();
@@ -131,7 +133,7 @@ fn shell_main(args: &[String]) {
 
     let mut argv = args.iter().cloned();
     while let Some(flag) = argv.next() {
-        if parse_engine_flag(&flag, &mut argv, &mut config, &mut faults) {
+        if shared_flag(&flag, &mut argv, &mut config, &mut process) {
             continue;
         }
         match flag.as_str() {
@@ -142,7 +144,7 @@ fn shell_main(args: &[String]) {
             _ => usage(),
         }
     }
-    arm_faults(&mut config, &faults);
+    process.apply(&mut config);
 
     match connect {
         Some(addr) => remote_shell(&addr, &tenant, &auth, one_shot),
@@ -370,91 +372,75 @@ fn run_statement(db: &Database, sql: &str, timing: bool) -> bool {
 
 // -------------------------------------------------------------- helpers
 
-/// Parses one shared engine flag; returns `false` when `flag` is not an
-/// engine flag (so mode-specific parsing can try it).
-fn parse_engine_flag(
+/// Parses one flag shared by the shell and `serve`: a [`lardb::KNOBS`]
+/// engine knob or a [`ProcessArgs`] flag. Returns `false` when `flag` is
+/// neither (so mode-specific parsing can try it).
+fn shared_flag(
     flag: &str,
     argv: &mut impl Iterator<Item = String>,
     config: &mut DatabaseConfig,
-    faults: &mut FaultArgs,
+    process: &mut ProcessArgs,
 ) -> bool {
+    if Knob::find(flag).is_some() {
+        let value = argv.next().unwrap_or_else(|| usage());
+        if let Err(e) = config.set(flag, &value) {
+            eprintln!("[lardb] {e}");
+            usage();
+        }
+        return true;
+    }
     match flag {
-        "--workers" => config.workers = next_parsed(argv),
-        "--transport" => {
-            config.transport = argv
-                .next()
-                .and_then(|v| TransportMode::parse(&v))
-                .unwrap_or_else(|| usage());
-        }
-        "--slow-ms" => config.slow_query_ms = Some(next_parsed(argv)),
-        "--pool-workers" => config.pool_workers = Some(next_parsed(argv)),
-        "--morsel-rows" => config.morsel_rows = next_parsed(argv),
-        "--scheduler" => {
-            config.scheduler = argv
-                .next()
-                .and_then(|v| v.parse::<SchedulerMode>().ok())
-                .unwrap_or_else(|| usage());
-        }
-        "--expr-engine" => {
-            config.expr_engine = argv
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
-        }
-        "--batch-rows" => config.batch_rows = std::cmp::max(1, next_parsed(argv)),
-        "--plan-cache-entries" => config.plan_cache_entries = next_parsed(argv),
-        "--sparse-dispatch" => {
-            config.sparse_dispatch = Some(
-                argv.next()
-                    .and_then(|v| DispatchMode::parse(&v))
-                    .unwrap_or_else(|| usage()),
-            );
-        }
-        "--net-timeout-ms" => config.net.timeout_ms = next_parsed(argv),
-        "--max-frame-bytes" => config.net.max_frame_bytes = next_parsed(argv),
         "--fault-kind" => {
-            faults.kind = Some(
+            process.kind = Some(
                 argv.next().and_then(|v| FaultKind::parse(&v)).unwrap_or_else(|| usage()),
             );
         }
-        "--fault-seed" => faults.seed = next_parsed(argv),
-        "--fault-rate-ppm" => faults.rate_ppm = Some(next_parsed(argv)),
-        "--fault-after" => faults.after = Some(next_parsed(argv)),
-        "--mem-budget-mb" => config.mem = Some(next_parsed(argv)),
-        "--spill-dir" => {
-            config.spill_dir =
-                Some(argv.next().map(std::path::PathBuf::from).unwrap_or_else(|| usage()));
-        }
-        "--trace-dir" => {
-            config.trace_dir =
-                Some(argv.next().map(std::path::PathBuf::from).unwrap_or_else(|| usage()));
-        }
-        "--trace-sample" => config.trace_sample = Some(next_parsed(argv)),
-        "--trace-capacity" => config.trace_capacity = Some(next_parsed(argv)),
+        "--fault-seed" => process.seed = Some(next_parsed(argv)),
+        "--fault-rate-ppm" => process.rate_ppm = Some(next_parsed(argv)),
+        "--fault-after" => process.after = Some(next_parsed(argv)),
+        "--trace-sample" => process.trace_sample = Some(next_parsed(argv)),
+        "--trace-capacity" => process.trace_capacity = Some(next_parsed(argv)),
         _ => return false,
     }
     true
 }
 
-fn arm_faults(config: &mut DatabaseConfig, faults: &FaultArgs) {
-    if let Some(kind) = faults.kind {
-        let mut plan = FaultPlan::new(kind, faults.seed);
-        if let Some(ppm) = faults.rate_ppm {
+impl ProcessArgs {
+    /// Applies the flight-recorder flags to the process-wide recorder and
+    /// arms the fault plan on `config`.
+    fn apply(&self, config: &mut DatabaseConfig) {
+        let recorder = lardb_obs::recorder();
+        match self.trace_sample {
+            Some(0) => recorder.set_enabled(false),
+            Some(n) => {
+                recorder.set_enabled(true);
+                recorder.set_sample_every(n);
+            }
+            None => {}
+        }
+        if let Some(cap) = self.trace_capacity {
+            recorder.set_capacity(cap);
+        }
+        let Some(kind) = self.kind else {
+            if self.rate_ppm.is_some() || self.after.is_some() {
+                eprintln!("[lardb] --fault-rate-ppm/--fault-after require --fault-kind");
+                usage();
+            }
+            return;
+        };
+        let seed = self.seed.unwrap_or(42);
+        let mut plan = FaultPlan::new(kind, seed);
+        if let Some(ppm) = self.rate_ppm {
             plan.rate_ppm = ppm;
         }
-        if let Some(after) = faults.after {
+        if let Some(after) = self.after {
             plan.kill_after = after;
         }
-        config.net.faults = Some(plan);
         eprintln!(
-            "[lardb] fault injection armed: {kind} (seed {}, rate {} ppm, kill-after {})",
-            faults.seed,
-            config.net.faults.as_ref().map(|p| p.rate_ppm).unwrap_or_default(),
-            config.net.faults.as_ref().map(|p| p.kill_after).unwrap_or_default(),
+            "[lardb] fault injection armed: {kind} (seed {seed}, rate {} ppm, kill-after {})",
+            plan.rate_ppm, plan.kill_after,
         );
-    } else if faults.rate_ppm.is_some() || faults.after.is_some() {
-        eprintln!("[lardb] --fault-rate-ppm/--fault-after require --fault-kind");
-        usage();
+        config.net.faults = Some(plan);
     }
 }
 
@@ -469,20 +455,15 @@ fn prompt(fresh: bool) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lardb-cli [engine flags] [-c SQL]                      embedded shell\n\
-                lardb-cli --connect HOST:PORT [--tenant T] [--auth A] [-c SQL]\n\
-                lardb-cli serve [engine flags] [server flags]\n\
-         engine flags: [--workers N] [--transport pointer|serialized|tcp] \
-         [--slow-ms MS] [--pool-workers N] [--morsel-rows N] \
-         [--scheduler pool|spawn] [--expr-engine compiled|interpret] \
-         [--batch-rows N] [--plan-cache-entries N (0 = off)] \
-         [--sparse-dispatch dense|sparse|adaptive] \
-         [--net-timeout-ms MS] [--max-frame-bytes N] \
-         [--fault-kind drop|truncate|corrupt|delay|kill] [--fault-seed N] \
-         [--fault-rate-ppm N] [--fault-after N] \
-         [--mem-budget-mb N (0 = unbounded)] [--spill-dir PATH] \
-         [--trace-dir PATH] [--trace-sample N (0 = off, N = 1-in-N)] \
-         [--trace-capacity N]\n\
+        "usage: lardb-cli [engine flags] [-c SQL]                      embedded shell\n       \
+         lardb-cli --connect HOST:PORT [--tenant T] [--auth A] [-c SQL]\n       \
+         lardb-cli serve [engine flags] [server flags]"
+    );
+    eprint!("engine flags:\n{}", Knob::usage());
+    eprintln!(
+        "  [--fault-kind drop|truncate|corrupt|delay|kill] [--fault-seed N] \
+         [--fault-rate-ppm N] [--fault-after N]\n  \
+         [--trace-sample N (0 = off, N = 1-in-N)] [--trace-capacity N]\n\
          server flags: [--host H] [--port N] [--max-sessions N] \
          [--max-concurrent N] [--queue-depth N] [--queue-wait-ms MS] \
          [--tenant-mem-mb N] [--tenant-slots N] [--admission-floor-bytes N] \

@@ -6,7 +6,7 @@
 //! mint a second, `embedded` trace for a query the server chose not to
 //! trace. Sampling is process-global, so this file holds one test.
 
-use lardb::{Database, DatabaseConfig};
+use lardb::Database;
 use lardb_server::{Client, Server, ServerConfig};
 
 #[test]
@@ -14,11 +14,9 @@ fn unsampled_served_queries_are_not_retraced_as_embedded() {
     const QUERIES: usize = 20;
     const MARKER: &str = "SELECT COUNT(*) AS trace_sampling_marker FROM t";
 
-    let db = Database::with_config(DatabaseConfig {
-        workers: 2,
-        trace_sample: Some(2),
-        ..DatabaseConfig::default()
-    });
+    lardb_obs::recorder().set_enabled(true);
+    lardb_obs::recorder().set_sample_every(2);
+    let db = Database::new(2);
     db.execute("CREATE TABLE t (id INTEGER)").unwrap();
     db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
     let server = Server::start(db, ServerConfig::default()).unwrap();

@@ -2,7 +2,9 @@
 //! the general guarantee that worker count / partitioning / shuffling are
 //! invisible in query answers.
 
-use lardb::{DataType, Database, Matrix, Partitioning, Row, Schema, TransportMode, Value};
+use lardb::{
+    DataType, Database, DatabaseConfig, Matrix, Partitioning, Row, Schema, TransportMode, Value,
+};
 use lardb_storage::gen;
 
 /// Loads a tiled square matrix as `name(tileRow, tileCol, mat)` — §3.4's
@@ -291,7 +293,11 @@ fn all_workloads_identical_under_every_transport() {
         for workers in [1usize, 4] {
             let mut reference: Option<Vec<Row>> = None;
             for transport in TransportMode::ALL {
-                let db = Database::new(workers).with_transport(transport);
+                let db = Database::with_config(DatabaseConfig {
+                    workers,
+                    transport,
+                    ..DatabaseConfig::default()
+                });
                 setup(&db);
                 let r = db
                     .query(sql)

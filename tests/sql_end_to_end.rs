@@ -1,10 +1,21 @@
 //! End-to-end SQL tests: parse → bind → optimize → physical plan →
 //! parallel execution, checked against directly-computed answers.
 
-use lardb::{DataType, Database, Partitioning, Row, Schema, Value, Vector};
+use lardb::{
+    DataType, Database, DatabaseConfig, Partitioning, Row, Schema, TransportMode, Value, Vector,
+};
 
 fn db() -> Database {
     Database::new(4)
+}
+
+/// Like [`db`], with every exchange wire-encoded.
+fn serialized_db() -> Database {
+    Database::with_config(DatabaseConfig {
+        workers: 4,
+        transport: TransportMode::Serialized,
+        ..DatabaseConfig::default()
+    })
 }
 
 #[test]
@@ -333,7 +344,7 @@ fn explain_output_reflects_table() {
 
 #[test]
 fn explain_analyze_reports_actual_encoded_bytes() {
-    let db = db().with_transport(lardb::TransportMode::Serialized);
+    let db = serialized_db();
     db.execute("CREATE TABLE t (id INTEGER, v DOUBLE)").unwrap();
     let rows: Vec<Row> = (0..60)
         .map(|i| Row::new(vec![Value::Integer(i), Value::Double(i as f64)]))
@@ -443,7 +454,7 @@ fn explain_analyze_gram(db: &Database) -> String {
 
 #[test]
 fn explain_analyze_gram_prints_estimate_vs_actual() {
-    let text = explain_analyze_gram(&db().with_transport(lardb::TransportMode::Serialized));
+    let text = explain_analyze_gram(&serialized_db());
     // Operator rows for the distributed matmul pipeline are present.
     assert!(text.contains("== Execution Statistics =="), "{text}");
     assert!(text.contains("TableScan"), "{text}");
@@ -491,7 +502,7 @@ fn explain_analyze_marks_pointer_bytes_as_estimates() {
         "pointer-mode exchange rows should carry a ~ estimate marker:\n{text}"
     );
     // The serialized run above asserts measured bytes have no marker.
-    let measured = explain_analyze_gram(&db().with_transport(lardb::TransportMode::Serialized));
+    let measured = explain_analyze_gram(&serialized_db());
     let stats_block = measured.split("== Execution Statistics ==").nth(1).unwrap();
     assert!(
         !stats_block.lines().any(|l| l.contains("Exchange") && l.contains('~')),
@@ -501,7 +512,7 @@ fn explain_analyze_marks_pointer_bytes_as_estimates() {
 
 #[test]
 fn show_metrics_matches_exec_stats_totals() {
-    let db = db().with_transport(lardb::TransportMode::Serialized);
+    let db = serialized_db();
     db.execute("CREATE TABLE t (id INTEGER, v DOUBLE)").unwrap();
     db.insert_rows(
         "t",
